@@ -57,9 +57,11 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -142,6 +144,7 @@ struct LoadResult {
   uint64_t read_ops = 0;        // lease reads served (subset of ops)
   uint64_t read_bounces = 0;    // 0x06 requests bounced (lease/watermark miss)
   uint64_t ryw_violations = 0;  // served below the carried watermark (must be 0)
+  uint64_t unexpected_acks = 0;  // acked off the proposing connection or twice (must be 0)
   uint64_t reconnects = 0;
 };
 
@@ -190,7 +193,7 @@ class LoadGen {
   void SendRead(Conn& c);
   void FlushConn(Conn& c);
   void HandleFrame(Conn& c, const uint8_t* data, size_t len);
-  void OnDecided(uint64_t cmd_id);
+  void OnDecided(Conn& at, uint64_t cmd_id);
   void OnReadReply(Conn& c, const uint8_t* data, size_t len);
   void ReconnectToLeader(Conn& c);
 
@@ -207,6 +210,7 @@ class LoadGen {
   uint64_t read_ops_ = 0;
   uint64_t read_bounces_ = 0;
   uint64_t ryw_violations_ = 0;
+  uint64_t unexpected_acks_ = 0;
   uint64_t reconnects_ = 0;
   bool measuring_ = false;
   bool fatal_ = false;
@@ -338,10 +342,15 @@ void LoadGen::FlushConn(Conn& c) {
   }
 }
 
-void LoadGen::OnDecided(uint64_t cmd_id) {
+void LoadGen::OnDecided(Conn& at, uint64_t cmd_id) {
+  // The server pushes a decided id once, to the connection that proposed it.
+  // An id this connection does not have in flight (another connection's, a
+  // repeat, or one forgotten by a reconnect, whose acks go to the old socket)
+  // is a server bug.
   auto it = inflight_.find(cmd_id);
-  if (it == inflight_.end()) {
-    return;  // duplicate sighting (every connection sees every decided batch)
+  if (it == inflight_.end() || (cmd_id >> 32) != at.id + 1) {
+    ++unexpected_acks_;
+    return;
   }
   const int64_t sent = it->second;
   inflight_.erase(it);
@@ -349,13 +358,9 @@ void LoadGen::OnDecided(uint64_t cmd_id) {
     ++ops_;
     latencies_ms_.push_back(static_cast<double>(NowNs() - sent) / 1e6);
   }
-  const uint32_t owner = static_cast<uint32_t>(cmd_id >> 32) - 1;
-  if (owner < conns_.size()) {
-    Conn& c = conns_[owner];
-    --c.outstanding;
-    if (c.fd >= 0 && !c.connecting) {
-      Refill(c);
-    }
+  --at.outstanding;
+  if (at.fd >= 0 && !at.connecting) {
+    Refill(at);
   }
 }
 
@@ -370,7 +375,7 @@ void LoadGen::HandleFrame(Conn& c, const uint8_t* data, size_t len) {
       }
       const uint32_t count = GetU32(data + 1);
       for (uint32_t i = 0; i < count && 5 + 8 * (i + 1) <= len; ++i) {
-        OnDecided(GetU64(data + 5 + 8 * i));
+        OnDecided(c, GetU64(data + 5 + 8 * i));
       }
       break;
     }
@@ -563,6 +568,7 @@ bool LoadGen::DriveLoad(LoadResult* out) {
   out->read_ops = read_ops_;
   out->read_bounces = read_bounces_;
   out->ryw_violations = ryw_violations_;
+  out->unexpected_acks = unexpected_acks_;
   out->reconnects = reconnects_;
   return !fatal_;
 }
@@ -745,6 +751,18 @@ int main(int argc, char** argv) {
   const std::string servers_spec = flags.GetString("servers", "");
   const std::string wal_prefix = flags.GetString("wal-dir", "");
 
+  if (!wal_prefix.empty()) {
+    // Each node journals under PREFIX/node<id>; make the tree (parents too)
+    // up front so a bad prefix is a usage error, not a bind-retry loop.
+    std::error_code ec;
+    std::filesystem::create_directories(wal_prefix, ec);
+    if (ec) {
+      std::fprintf(stderr, "loadgen: --wal-dir=%s: %s\n", wal_prefix.c_str(),
+                   ec.message().c_str());
+      return 2;
+    }
+  }
+
   const int fds_before = check_fds ? CountOpenFds() : -1;
 
   auto cluster = std::make_unique<Cluster>();
@@ -798,6 +816,11 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("reconnects:    %" PRIu64 "\n", result.reconnects);
+  std::printf("unexpected acks: %" PRIu64 "\n", result.unexpected_acks);
+  if (result.unexpected_acks > 0) {
+    std::fprintf(stderr, "FAIL: decided ids acked off their proposing connection or twice\n");
+    return 1;
+  }
 
   // Bounded-memory evidence: after the run, the leader's resident log suffix
   // (log_len - compacted) must sit near the trim watermark, not near the total

@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <system_error>
 
 #include "src/util/check.h"
 #include "src/util/logging.h"
@@ -34,6 +36,15 @@ bool OmniTcpServer::Start() {
   if (options_.wal_dir.empty()) {
     storage_ = std::make_unique<omni::Storage>();
   } else {
+    // Missing parents are created (--wal-dir=/fresh/tree/node1); a path that
+    // cannot become a directory fails Start() instead of aborting in the WAL.
+    std::error_code ec;
+    std::filesystem::create_directories(options_.wal_dir, ec);
+    if (ec) {
+      start_error_ = "cannot create WAL directory " + options_.wal_dir + ": " + ec.message();
+      OPX_ELOG << "server " << options_.id << ": " << start_error_;
+      return false;
+    }
     std::string error;
     auto from_disk = omni::DurableStorage::Recover(wal::PosixEnv(), options_.wal_dir,
                                                    options_.wal_options, &error);
@@ -70,17 +81,15 @@ bool OmniTcpServer::Start() {
 
   transport_ = std::make_unique<TcpTransport>(options_.id, options_.listen_port,
                                               options_.peers);
+  // Peer input and reconnect cues only feed the protocol; their output
+  // leaves with the pass's single Pump (StepOnce).
   transport_->set_message_handler(
       [this](NodeId from, omni::OmniMessage msg) { OnPeerMessage(from, std::move(msg)); });
-  transport_->set_reconnect_handler([this](NodeId peer) {
-    node_->Reconnected(peer);
-    Pump();
-  });
+  transport_->set_reconnect_handler([this](NodeId peer) { node_->Reconnected(peer); });
   transport_->set_client_frame_handler(
       [this](uint64_t client, const uint8_t* data, size_t len) {
         OnClientFrame(client, data, len);
       });
-  transport_->set_client_closed_handler([this](uint64_t client) { clients_.erase(client); });
   if (durable_ != nullptr) {
     // Persist-before-send: the WAL group commit rides the transport's flush
     // boundary, so one fdatasync covers every mutation of this event-loop
@@ -98,6 +107,7 @@ bool OmniTcpServer::Start() {
 #endif
   }
   if (!transport_->Start()) {
+    start_error_ = "cannot listen on port " + std::to_string(options_.listen_port);
     return false;
   }
   // Election ticks ride a timerfd in the transport's epoll wait; missed
@@ -105,17 +115,18 @@ bool OmniTcpServer::Start() {
   tick_timer_ = transport_->loop().AddTimer(options_.election_timeout, [this] {
     // Push already-decided entries to clients before the tick: TickElection
     // may auto-trim up to the decided index, and a trimmed entry can no
-    // longer be read back for the 0x02 batch.
+    // longer be read back for the 0x02 batch. The tick's own output leaves
+    // with StepOnce's Pump.
     Pump();
     node_->TickElection();
-    Pump();
   });
   return tick_timer_ >= 0;
 }
 
 void OmniTcpServer::StepOnce(int timeout_ms) {
-  // The tick timerfd interrupts the wait, so the full timeout is available;
-  // Poll() ends with a flush, and the trailing one covers this Pump.
+  // The tick timerfd interrupts the wait, so the full timeout is available.
+  // One pass: handle all ready input, pump the protocol once, write once —
+  // Flush() runs the WAL hook before any byte leaves.
   transport_->Poll(timeout_ms);
   Pump();
   transport_->Flush();
@@ -129,11 +140,9 @@ void OmniTcpServer::Run(const std::atomic<bool>& stop) {
 
 void OmniTcpServer::OnPeerMessage(NodeId from, omni::OmniMessage msg) {
   node_->Handle(from, std::move(msg));
-  Pump();
 }
 
 void OmniTcpServer::OnClientFrame(uint64_t client, const uint8_t* data, size_t len) {
-  clients_.insert(client);
   if (len == 0) {
     return;
   }
@@ -153,8 +162,10 @@ void OmniTcpServer::OnClientFrame(uint64_t client, const uint8_t* data, size_t l
       if (node_->IsLeader()) {
         // No Pump here: appends admitted during this epoll pass flush
         // together in StepOnce's post-Poll Pump — request batching turns an
-        // append burst into one <AcceptDecide> fan-out.
+        // append burst into one <AcceptDecide> fan-out. The decided id is
+        // pushed back to this connection only; a re-append moves it here.
         node_->Append(omni::Entry::Command(cmd_id, payload));
+        proposers_[cmd_id] = client;
       } else {
         std::vector<uint8_t> redirect;
         redirect.push_back(0x05);
@@ -229,30 +240,47 @@ void OmniTcpServer::Pump() {
   if (pushed_ < storage_->compacted_idx()) {
     pushed_ = storage_->compacted_idx();
   }
-  if (pushed_ < decided && !clients_.empty()) {
-    std::vector<uint8_t> batch;
-    batch.push_back(0x02);
-    std::vector<uint64_t> ids;
+  if (pushed_ < decided && !proposers_.empty()) {
+    // One 0x02 frame per proposing connection, holding only its own ids.
+    // Ids nobody here proposed (decided under another leader, or a client
+    // of an earlier term) are not pushed.
+    size_t used = 0;
     for (LogIndex i = pushed_; i < decided; ++i) {
       const omni::Entry& e = storage_->At(i);
-      if (!e.IsStopSign() && e.cmd_id != 0) {
-        ids.push_back(e.cmd_id);
+      const auto it = e.IsStopSign() ? proposers_.end() : proposers_.find(e.cmd_id);
+      if (it == proposers_.end()) {
+        continue;
       }
+      size_t r = 0;
+      while (r < used && replies_[r].first != it->second) {
+        ++r;
+      }
+      if (r == used) {
+        if (used == replies_.size()) {
+          replies_.emplace_back();
+        }
+        replies_[r].first = it->second;
+        replies_[r].second.assign({0x02, 0, 0, 0, 0});  // count patched below
+        ++used;
+      }
+      PutU64(&replies_[r].second, e.cmd_id);
+      proposers_.erase(it);
     }
-    PutU32(&batch, static_cast<uint32_t>(ids.size()));
-    for (uint64_t id : ids) {
-      PutU64(&batch, id);
-    }
-    // Snapshot: a failed send closes the connection, which erases the client
-    // from clients_ via the closed handler — mid-iteration otherwise. The
-    // batch is encoded once and the refcounted frame shared across clients.
-    const FrameRef frame = transport_->EncodeClientFrame(batch.data(), batch.size());
-    const std::vector<uint64_t> targets(clients_.begin(), clients_.end());
-    for (uint64_t client : targets) {
-      transport_->SendToClient(client, frame);
+    for (size_t r = 0; r < used; ++r) {
+      std::vector<uint8_t>& batch = replies_[r].second;
+      const auto n = static_cast<uint32_t>((batch.size() - 5) / 8);
+      for (int k = 0; k < 4; ++k) {
+        batch[1 + k] = static_cast<uint8_t>(n >> (8 * k));
+      }
+      transport_->SendToClient(replies_[r].first, batch.data(), batch.size());
     }
   }
   pushed_ = decided;
+  if (!node_->IsLeader()) {
+    // A follower answers nothing; what it proposed as leader is the new
+    // leader's to decide, and the client retries on silence.
+    proposers_.clear();
+  }
 }
 
 }  // namespace opx::net

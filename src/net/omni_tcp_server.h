@@ -5,7 +5,8 @@
 //
 // Client API (frames over the same listen port, after a kHelloClient hello):
 //   -> [0x01][u64 cmd_id][u32 payload_bytes]     append request
-//   <- [0x02][u32 n][u64 cmd_id × n]             decided batch (pushed)
+//   <- [0x02][u32 n][u64 cmd_id × n]             decided batch (pushed to
+//                                                the proposing connection)
 //   -> [0x03]                                    status request
 //   <- [0x04][u32 leader][u64 decided][u64 len][u8 is_leader]
 //   <- [0x05][u32 leader]                        redirect (not leader)
@@ -18,14 +19,21 @@
 // reads (0x06) are served locally, with no log append, when this server
 // leads AND still holds the BLE quorum-connectivity lease AND its decided
 // index covers the client's read-your-writes watermark (DESIGN.md §15).
+//
+// A decided id goes only to the connection that appended it on this leader
+// (the latest one, if re-appended); other clients and followers' clients see
+// no 0x02 frame for it. Ids outstanding when this server stops leading are
+// never pushed: the client retries on silence.
 #ifndef SRC_NET_OMNI_TCP_SERVER_H_
 #define SRC_NET_OMNI_TCP_SERVER_H_
 
 #include <atomic>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "src/net/tcp_transport.h"
 #include "src/obs/trace.h"
@@ -69,15 +77,18 @@ class OmniTcpServer {
   OmniTcpServer(const OmniTcpServer&) = delete;
   OmniTcpServer& operator=(const OmniTcpServer&) = delete;
 
-  // Opens (or recovers) storage and starts listening. False on bind failure.
+  // Opens (or recovers) storage and starts listening. False, with the reason
+  // in start_error(), when the WAL directory cannot be created or the port
+  // cannot be bound.
   bool Start();
+  const std::string& start_error() const { return start_error_; }
 
   // Runs the event loop until `stop` becomes true.
   void Run(const std::atomic<bool>& stop);
 
   // One loop iteration: one epoll pass (≤ timeout_ms; election ticks fire
-  // from a timerfd inside the same wait), pump protocol output, push decided
-  // entries to clients, flush send queues.
+  // from a timerfd inside the same wait) handling all ready input, then one
+  // Pump (protocol output + decided pushes) and one Flush.
   void StepOnce(int timeout_ms);
 
   uint16_t listen_port() const { return transport_->listen_port(); }
@@ -95,9 +106,14 @@ class OmniTcpServer {
   omni::DurableStorage* durable_ = nullptr;  // storage_ downcast when WAL-backed
   std::unique_ptr<omni::OmniPaxos> node_;
   std::unique_ptr<TcpTransport> transport_;
-  std::set<uint64_t> clients_;
+  // cmd_id -> proposing client, filled on append while leading, erased when
+  // the id is pushed, cleared once this server no longer leads.
+  std::unordered_map<uint64_t, uint64_t> proposers_;
+  // Pump's per-client 0x02 frames under construction, reused across passes.
+  std::vector<std::pair<uint64_t, std::vector<uint8_t>>> replies_;
   LogIndex pushed_ = 0;   // decided entries already pushed to clients
   int tick_timer_ = -1;   // election timerfd inside the transport's loop
+  std::string start_error_;
 #if defined(OPX_OBS_ENABLED)
   obs::Counter* lease_reads_ctr_ = nullptr;
 #endif

@@ -174,7 +174,7 @@ void TcpTransport::StartConnect(NodeId peer) {
   connections_.push_back(std::move(conn));
   outbound_[peer] = raw;
   if (raw->fd >= 0 && !raw->connecting) {
-    // Connected immediately (localhost): send hello.
+    // Connected immediately (localhost): queue the hello.
     HandleWritable(*raw);
   }
 }
@@ -217,7 +217,7 @@ bool TcpTransport::SendRepeat(NodeId to) {
   return true;
 }
 
-FrameRef TcpTransport::EncodeClientFrame(const uint8_t* data, size_t len) {
+FrameRef TcpTransport::EncodeFrame(const uint8_t* data, size_t len) {
   FrameRef frame = pool_.Acquire();
   frame->bytes.reserve(4 + len);
   for (int i = 0; i < 4; ++i) {
@@ -227,20 +227,10 @@ FrameRef TcpTransport::EncodeClientFrame(const uint8_t* data, size_t len) {
   return frame;
 }
 
-void TcpTransport::SendToClient(uint64_t client, const FrameRef& frame) {
-  for (auto& conn : connections_) {
-    if (conn->is_client && conn->client_id == client && !conn->closed) {
-      conn->sendq.Push(frame);
-      MarkDirty(*conn);
-      return;
-    }
-  }
-}
-
 void TcpTransport::SendToClient(uint64_t client, const uint8_t* data, size_t len) {
   for (auto& conn : connections_) {
     if (conn->is_client && conn->client_id == client && !conn->closed) {
-      conn->sendq.Push(EncodeClientFrame(data, len));
+      conn->sendq.Push(EncodeFrame(data, len));
       MarkDirty(*conn);
       return;
     }
@@ -254,8 +244,9 @@ bool TcpTransport::PeerConnected(NodeId peer) const {
 }
 
 void TcpTransport::Poll(int timeout_ms) {
-  loop_.Wait(timeout_ms);
-  Flush();
+  // Wait-only: handlers enqueue, Flush() writes. Frames already queued (a
+  // hello from an out-of-poll connect) must not sit behind a blocking wait.
+  loop_.Wait(dirty_.empty() ? timeout_ms : 0);
 }
 
 void TcpTransport::Flush() {
@@ -364,7 +355,7 @@ void TcpTransport::HandleWritable(Connection& conn) {
     for (int i = 0; i < 4; ++i) {
       hello[1 + i] = static_cast<uint8_t>(static_cast<uint32_t>(self_) >> (8 * i));
     }
-    conn.sendq.Push(EncodeClientFrame(hello, sizeof(hello)));
+    conn.sendq.Push(EncodeFrame(hello, sizeof(hello)));
     MarkDirty(conn);
     conn.hello_sent = true;
     if (met_.reconnects != nullptr) {
@@ -376,7 +367,11 @@ void TcpTransport::HandleWritable(Connection& conn) {
       on_reconnect_(conn.outbound_peer);
     }
   }
-  FlushConn(conn);
+  // Never write here: the next Flush() runs the persist-before-send hook
+  // first. A resumed EAGAIN queue just rejoins the dirty list.
+  if (!conn.sendq.empty()) {
+    MarkDirty(conn);
+  }
 }
 
 void TcpTransport::HandleReadable(Connection& conn) {
@@ -458,8 +453,6 @@ void TcpTransport::CloseConnection(Connection& conn) {
     close(conn.fd);
     conn.fd = -1;
   }
-  const bool was_client = conn.is_client;
-  const uint64_t client_id = conn.client_id;
   conn.closed = true;
   conn.hello_sent = false;
   conn.connecting = false;
@@ -468,9 +461,6 @@ void TcpTransport::CloseConnection(Connection& conn) {
   conn.retry_at = MonotonicNow() + Millis(200);
   if (met_.conns_closed != nullptr) {
     met_.conns_closed->Inc();
-  }
-  if (was_client && on_client_closed_) {
-    on_client_closed_(client_id);
   }
 }
 

@@ -16,10 +16,12 @@
 // interest lists, edge-triggered, timerfd-driven reconnect sweep) instead of
 // a per-iteration pollfd rebuild. Sends are DEFERRED: Send/SendToClient only
 // enqueue an encoded, refcounted frame (encode-once for broadcasts — see
-// SendRepeat and the FrameRef overload of SendToClient) onto the
-// connection's FrameQueue; Flush() — called once per Poll() pass and by the
-// server after each Pump — drains every dirty queue with writev(), so a
-// burst of protocol messages leaves in a handful of syscalls.
+// SendRepeat) onto the connection's FrameQueue. Flush() is the only code
+// that writes to a socket: the owner calls it once per event-loop pass,
+// after Poll() and its own protocol pump, and it drains every dirty queue
+// with one writev() per connection (more only past kMaxIov frames or after
+// a short write). Poll() only waits and dispatches; an EPOLLOUT edge just
+// re-marks its connection dirty for that Flush().
 //
 // Single-threaded: the owner drives everything through Poll(); callbacks run
 // on the polling thread. No locks, no hidden threads.
@@ -57,15 +59,12 @@ class TcpTransport {
   using ReconnectHandler = std::function<void(NodeId peer)>;
   // Raw frame from a client connection (id = transport-local client handle).
   using ClientFrameHandler = std::function<void(uint64_t client, const uint8_t* data, size_t len)>;
-  using ClientClosedHandler = std::function<void(uint64_t client)>;
   // Runs at the top of every Flush() that has queued bytes, BEFORE anything
   // is written to a socket. The durable server hangs its WAL group commit
   // here: one fdatasync per flush boundary makes every promise/accept
   // persistent before the message carrying it can leave the process
-  // (persist-before-send). Flush() is the single choke point — Poll() ends
-  // with one, and out-of-poll Pump() batches are followed by one — so no
-  // frame escapes unsynced. EPOLLOUT resumes rewrite only bytes a previous
-  // Flush() already covered.
+  // (persist-before-send). Flush() is the only write path — Poll() and
+  // EPOLLOUT edges never write — so no frame escapes unsynced.
   using FlushHook = std::function<void()>;
 
   TcpTransport(NodeId self, uint16_t listen_port, std::map<NodeId, Endpoint> peers);
@@ -77,7 +76,6 @@ class TcpTransport {
   void set_message_handler(MessageHandler h) { on_message_ = std::move(h); }
   void set_reconnect_handler(ReconnectHandler h) { on_reconnect_ = std::move(h); }
   void set_client_frame_handler(ClientFrameHandler h) { on_client_frame_ = std::move(h); }
-  void set_client_closed_handler(ClientClosedHandler h) { on_client_closed_ = std::move(h); }
   void set_flush_hook(FlushHook h) { flush_hook_ = std::move(h); }
 
   // Binds + listens and initiates the first round of peer connects.
@@ -100,21 +98,17 @@ class TcpTransport {
   // link-down); the caller falls back to Send().
   bool SendRepeat(NodeId to);
 
-  // Queues a raw frame to a connected client.
+  // Queues a raw frame to a connected client (dropped if it has gone).
   void SendToClient(uint64_t client, const uint8_t* data, size_t len);
 
-  // Encode-once client push: wrap a payload as a frame, then queue the SAME
-  // refcounted frame to any number of clients.
-  FrameRef EncodeClientFrame(const uint8_t* data, size_t len);
-  void SendToClient(uint64_t client, const FrameRef& frame);
-
-  // Processes I/O for up to timeout_ms (0 = non-blocking pass): one epoll
-  // wait + inline handler dispatch, then a Flush(). Reconnect backoff runs
-  // off a timerfd inside the same wait.
+  // Waits up to timeout_ms (0 = non-blocking pass; also when frames are
+  // already queued) and dispatches handlers inline. Writes nothing: call
+  // Flush() afterwards. Reconnect backoff runs off a timerfd inside the same
+  // wait.
   void Poll(int timeout_ms);
 
-  // Drains every connection with pending frames via writev(). Called by
-  // Poll(); the server also calls it after out-of-poll Pump() batches.
+  // Runs the flush hook, then drains every connection with pending frames
+  // via writev(). The owner calls it once per event-loop pass.
   void Flush();
 
   void Stop();
@@ -142,6 +136,8 @@ class TcpTransport {
   void FlushConn(Connection& conn);
   void MarkDirty(Connection& conn);
   void ReconnectSweep();
+  // Wraps a payload as a [u32 len][payload] frame from the pool.
+  FrameRef EncodeFrame(const uint8_t* data, size_t len);
 
   NodeId self_;
   uint16_t listen_port_;
@@ -162,7 +158,6 @@ class TcpTransport {
   MessageHandler on_message_;
   ReconnectHandler on_reconnect_;
   ClientFrameHandler on_client_frame_;
-  ClientClosedHandler on_client_closed_;
   FlushHook flush_hook_;
 };
 

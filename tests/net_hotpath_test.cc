@@ -24,6 +24,8 @@
 #include "src/net/frame_queue.h"
 #include "src/net/omni_client.h"
 #include "src/net/omni_tcp_server.h"
+#include "src/net/tcp_transport.h"
+#include "tests/loopback_ports.h"
 
 namespace opx {
 namespace {
@@ -37,6 +39,7 @@ using net::FrameRef;
 using net::OmniClient;
 using net::OmniTcpServer;
 using net::ServerOptions;
+using net::TcpTransport;
 using net::WireFrame;
 
 // Builds a [u32 length][payload] frame whose payload is `n` bytes of `fill`.
@@ -392,36 +395,139 @@ TEST_F(TcpEpollLoopTest, TimerFiresAndCoalescesMissedPeriods) {
   EXPECT_EQ(loop.watched(), 0u);
 }
 
+// --- Persist-before-send: Flush() is the only write path ------------------
+
+// A blocking loopback client of `port` that has sent its client hello.
+int ConnectClient(uint16_t port) {
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return -1;
+  }
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  const uint8_t hello[5] = {1, 0, 0, 0, net::kHelloClient};
+  if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      write(fd, hello, sizeof(hello)) != static_cast<ssize_t>(sizeof(hello))) {
+    close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool SendByte(int fd, uint8_t b) {
+  const uint8_t frame[5] = {1, 0, 0, 0, b};
+  return write(fd, frame, sizeof(frame)) == static_cast<ssize_t>(sizeof(frame));
+}
+
+TEST(TcpPersistBeforeSend, NoFrameLeavesBeforeTheFlushHook) {
+  // Two clients send in the same epoll pass and each one's frame queues a
+  // reply to the OTHER client. Whichever is dispatched second carries
+  // EPOLLOUT too (its socket is writable); a transport that writes from the
+  // writable edge would put the first reply on the wire before the flush
+  // hook — the durable server's WAL sync — has run.
+  TcpTransport t(1, 0, {});
+  ASSERT_TRUE(t.Start());
+  const int fds[2] = {ConnectClient(t.listen_port()), ConnectClient(t.listen_port())};
+  ASSERT_GE(fds[0], 0);
+  ASSERT_GE(fds[1], 0);
+
+  // Registration: each client names itself ('0' / '1') so the handler can
+  // map the transport's client handles to the test's sockets.
+  uint64_t handle[2] = {0, 0};
+  int replies_due = 0;
+  t.set_client_frame_handler([&](uint64_t client, const uint8_t* data, size_t len) {
+    ASSERT_EQ(len, 1u);
+    if (data[0] == '0' || data[0] == '1') {
+      handle[data[0] - '0'] = client;
+      return;
+    }
+    const uint64_t other = client == handle[0] ? handle[1] : handle[0];
+    const uint8_t reply = 'r';
+    t.SendToClient(other, &reply, 1);
+    ++replies_due;
+  });
+  ASSERT_TRUE(SendByte(fds[0], '0'));
+  ASSERT_TRUE(SendByte(fds[1], '1'));
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while ((handle[0] == 0 || handle[1] == 0) && std::chrono::steady_clock::now() < deadline) {
+    t.Poll(10);
+    t.Flush();
+  }
+  ASSERT_NE(handle[0], 0u);
+  ASSERT_NE(handle[1], 0u);
+
+  int hook_runs = 0;
+  bool leaked = false;
+  t.set_flush_hook([&] {
+    ++hook_runs;
+    for (int fd : fds) {
+      uint8_t b = 0;
+      if (recv(fd, &b, 1, MSG_PEEK | MSG_DONTWAIT) > 0) {
+        leaked = true;
+      }
+    }
+  });
+  ASSERT_TRUE(SendByte(fds[0], 'x'));
+  ASSERT_TRUE(SendByte(fds[1], 'x'));
+  // Both frames are in the server's receive queues before the one pass runs.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  t.Poll(1000);
+  t.Flush();
+  ASSERT_EQ(replies_due, 2) << "both frames must be handled in one pass";
+  EXPECT_EQ(hook_runs, 1);
+  EXPECT_FALSE(leaked) << "a reply reached its client before the flush hook ran";
+
+  // After the flush both replies arrive.
+  for (int fd : fds) {
+    uint8_t got[5] = {};
+    ASSERT_EQ(read(fd, got, sizeof(got)), 5);
+    EXPECT_EQ(got[4], 'r');
+    close(fd);
+  }
+}
+
 // --- 64-connection multiplexing against a real loopback cluster -----------
 
 TEST(TcpManyClients, SixtyFourConcurrentConnectionsReplicate) {
-  // Three servers on loopback, each on its own thread; ports derived from the
-  // pid to dodge parallel test invocations (same scheme as tcp_runtime_test).
-  const uint16_t base = static_cast<uint16_t>(20000 + ((getpid() + 9173) % 20000));
+  // Three servers on loopback, each on its own thread. A random port block
+  // per attempt; a collision with a parallel test retries on a fresh one.
   std::map<NodeId, Endpoint> endpoints;
-  for (NodeId id = 1; id <= 3; ++id) {
-    endpoints[id] = Endpoint{"127.0.0.1", static_cast<uint16_t>(base + id)};
-  }
   struct Slot {
     std::unique_ptr<OmniTcpServer> server;
     std::thread thread;
     std::atomic<bool> stop{false};
   };
   Slot slots[4];
-  for (NodeId id = 1; id <= 3; ++id) {
-    ServerOptions options;
-    options.id = id;
-    options.listen_port = endpoints[id].port;
-    options.election_timeout = Millis(30);
-    options.ble_priority = id == 1 ? 1 : 0;
-    for (NodeId peer = 1; peer <= 3; ++peer) {
-      if (peer != id) {
-        options.peers[peer] = endpoints[peer];
+  bool started = false;
+  for (int attempt = 0; attempt < loopback::kPortAttempts && !started; ++attempt) {
+    const uint16_t base = loopback::RandomPortBase();
+    for (NodeId id = 1; id <= 3; ++id) {
+      endpoints[id] = Endpoint{"127.0.0.1", static_cast<uint16_t>(base + id)};
+    }
+    started = true;
+    for (NodeId id = 1; id <= 3 && started; ++id) {
+      ServerOptions options;
+      options.id = id;
+      options.listen_port = endpoints[id].port;
+      options.election_timeout = Millis(30);
+      options.ble_priority = id == 1 ? 1 : 0;
+      options.peers = endpoints;
+      options.peers.erase(id);
+      auto& slot = slots[static_cast<size_t>(id)];
+      slot.server = std::make_unique<OmniTcpServer>(options);
+      started = slot.server->Start();
+    }
+    if (!started) {
+      for (Slot& slot : slots) {
+        slot.server = nullptr;
       }
     }
+  }
+  ASSERT_TRUE(started) << "no free loopback port block";
+  for (NodeId id = 1; id <= 3; ++id) {
     auto& slot = slots[static_cast<size_t>(id)];
-    slot.server = std::make_unique<OmniTcpServer>(options);
-    ASSERT_TRUE(slot.server->Start());
     slot.thread = std::thread([&slot] { slot.server->Run(slot.stop); });
   }
 
@@ -462,17 +568,17 @@ TEST(TcpManyClients, SixtyFourConcurrentConnectionsReplicate) {
 // violation and disconnects. (No "Tcp" in the suite name: this test is not
 // part of the TSan smoke filter.)
 TEST(ClientWire, PoisonedLengthHeaderDisconnectsInsteadOfWrapping) {
-  const uint16_t port = static_cast<uint16_t>(20000 + ((getpid() + 4211) % 20000));
   const int listen_fd = socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(listen_fd, 0);
-  const int one = 1;
-  setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
+  addr.sin_port = 0;  // ephemeral: never collides with a parallel test
   ASSERT_EQ(bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
   ASSERT_EQ(listen(listen_fd, 1), 0);
+  socklen_t addr_len = sizeof(addr);
+  ASSERT_EQ(getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &addr_len), 0);
+  const uint16_t port = ntohs(addr.sin_port);
 
   std::thread evil([listen_fd] {
     const int fd = accept(listen_fd, nullptr, nullptr);

@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
 
   net::OmniTcpServer server(options);
   if (!server.Start()) {
-    std::fprintf(stderr, "omni_node: cannot bind port %u\n", options.listen_port);
+    std::fprintf(stderr, "omni_node: %s\n", server.start_error().c_str());
     return 1;
   }
   std::signal(SIGINT, OnSignal);

@@ -38,7 +38,8 @@
 #
 # --net-bench-smoke does a Release build of bench/loadgen and fires a 2-second
 # closed-loop burst at a freshly spawned 3-node loopback cluster; exit 0
-# requires a leader, decided ops > 0, and no leaked fds. It does not refresh
+# requires a leader, decided ops > 0, every decided id acked once and only on
+# the connection that proposed it, and no leaked fds. It does not refresh
 # BENCH_net.json (see EXPERIMENTS.md for the measurement recipe).
 #
 # --compaction-smoke exercises the full production log pipeline (DESIGN.md
@@ -214,7 +215,7 @@ if [ "${1:-}" = "--net-bench-smoke" ]; then
   echo "ok"
   step "loadgen smoke: 3-node loopback cluster, 2s burst, fd-leak check"
   # Exit code covers the whole contract: cluster up + leader elected +
-  # decided ops > 0 + no fd leaked across start/teardown. The tracked
+  # decided ops > 0 + no unexpected acks + no fd leaked across start/teardown. The tracked
   # BENCH_net.json is NOT refreshed here — a 2s burst on a busy CI box is
   # not a measurement; see EXPERIMENTS.md for the real recipe.
   if "$BUILD/bench/loadgen" --duration-s=2 --warmup-s=1 --check-fds; then
