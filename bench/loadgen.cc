@@ -1,11 +1,14 @@
-// Closed-loop load generator for the real TCP runtime (ROADMAP item 4,
-// DESIGN.md §14): N client connections, each keeping a fixed pipeline of
-// appends outstanding against a 3-node loopback cluster, measuring decided
-// ops/s and append→decided latency (p50/p99).
+// Closed-loop load generator for the real TCP runtime (DESIGN.md §14): N
+// client connections, each keeping a fixed pipeline of appends outstanding
+// against a 3-node loopback cluster, measuring decided ops/s and
+// append→decided latency (p50/p99).
 //
-// The client engine is built on the same hot-path pieces as the transport —
-// EpollLoop for readiness, FrameQueue/FrameReader for framing — so the
-// generator itself never becomes the bottleneck being measured.
+// Each connection is an rsm::Client driven by a net::ClientSession — the
+// same state machine the simulator measures with, so redirects, rotation and
+// re-proposal follow one policy everywhere — and all N share one EpollLoop.
+// The sessions only move bytes (FrameQueue/FrameReader, one sendmsg per
+// connection per pass), so the generator itself never becomes the
+// bottleneck being measured.
 //
 // By default the cluster is spawned in-process (three OmniTcpServer threads
 // on loopback, pid-salted ports); --servers=1=h:p,2=h:p,... targets an
@@ -15,22 +18,22 @@
 // at kBaselineCommit, measured with this same generator and config) next to
 // the numbers just measured, mirroring BENCH_core.json.
 //
-// With --read-fraction=F each connection dedicates that share of its pipeline
-// slots to leader-lease reads (frame 0x06, DESIGN.md §15): served locally by
-// the leader with no log append, stamped with a monotonic read watermark (the
-// highest serialization point this connection has observed). Reads count
-// toward ops and latency alongside writes, and the JSON row is then keyed
+// With --read-fraction=F each connection also keeps ceil(pipeline × F)
+// leader-lease reads outstanding (frame 0x06, DESIGN.md §15): served locally
+// by the leader with no log append, stamped with the client's read watermark
+// (the highest serialization point it has observed). Reads count toward ops
+// and latency alongside writes, and the JSON row is then keyed
 // "batched_lease_read". --trim-watermark=N turns on automatic log compaction
 // in the in-process cluster, and the report includes the leader's resident
 // log-suffix size — the bounded-memory evidence for EXPERIMENTS.md.
 //
 // Flags:
 //   --connections=16     concurrent client connections
-//   --pipeline=64        outstanding ops per connection
+//   --pipeline=64        outstanding appends per connection
 //   --value-bytes=64     declared payload size per command
 //   --duration-s=5       measurement window (after warmup)
 //   --warmup-s=1         untimed ramp-up
-//   --read-fraction=0.0  share of pipeline slots doing lease reads
+//   --read-fraction=0.0  lease reads kept outstanding, as a share of --pipeline
 //   --trim-watermark=0   in-process cluster auto-trim watermark (0 = off)
 //   --batch-limit=0      in-process cluster per-flush accept cap (0 = off)
 //   --wal-dir=PREFIX     back the in-process cluster with real segmented WALs
@@ -41,36 +44,27 @@
 //   --check-fds          verify no fd leaked across cluster start/teardown
 //   --servers=...        external cluster (skips the in-process one)
 
-#include <arpa/inet.h>
 #include <dirent.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cinttypes>
-#include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
 #include <system_error>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "src/net/epoll_loop.h"
-#include "src/net/frame_queue.h"
 #include "src/net/omni_client.h"
 #include "src/net/omni_tcp_server.h"
 #include "src/net/tcp_transport.h"
+#include "src/rsm/client.h"
 #include "src/util/flags.h"
 #include "src/util/stats.h"
 #include "src/util/time.h"
@@ -84,34 +78,6 @@ int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
 }
 
 int CountOpenFds() {
@@ -133,7 +99,7 @@ struct LoadConfig {
   uint32_t value_bytes = 64;
   double duration_s = 5.0;
   double warmup_s = 1.0;
-  double read_fraction = 0.0;  // share of pipeline slots doing lease reads
+  double read_fraction = 0.0;  // lease reads outstanding, as a share of pipeline
 };
 
 struct LoadResult {
@@ -148,429 +114,82 @@ struct LoadResult {
   uint64_t reconnects = 0;
 };
 
-// Closed-loop engine: every decided command immediately refills its owning
-// connection back to the configured pipeline depth, so total outstanding work
-// is constant and throughput is limited by the cluster, not the generator.
-class LoadGen {
- public:
-  LoadGen(std::map<NodeId, net::Endpoint> servers, NodeId leader, LoadConfig cfg)
-      : servers_(std::move(servers)), leader_(leader), cfg_(cfg) {
-    conns_.resize(static_cast<size_t>(cfg_.connections));
-  }
-
-  ~LoadGen() {
-    for (Conn& c : conns_) {
-      CloseConn(c);
+// Closed loop: each client tops itself back up to the pipeline depth as its
+// commands are decided, so total outstanding work is constant and throughput
+// is limited by the cluster, not the generator. One pass = every session's
+// Advance (sends) then one loop wait (receives). Client i numbers its commands
+// from (i+1) << 32, so an ack delivered to the wrong connection shows up as
+// a stale ack there.
+bool RunLoad(const std::map<NodeId, net::Endpoint>& endpoints, NodeId leader,
+             const LoadConfig& cfg, LoadResult* out) {
+  rsm::ClientParams params;
+  params.servers = {leader};  // rotation starts at the discovered leader
+  for (const auto& [id, endpoint] : endpoints) {
+    if (id != leader) {
+      params.servers.push_back(id);
     }
   }
-
-  bool DriveLoad(LoadResult* out);
-
- private:
-  struct Conn {
-    int fd = -1;
-    uint32_t id = 0;        // index; cmd/read ids are (id+1)<<32 | seq
-    uint32_t next_seq = 0;
-    int outstanding = 0;    // appends + lease reads in flight
-    bool connecting = false;  // connect() in flight (EINPROGRESS)
-    bool hello_sent = false;
-    uint64_t session = 0;  // bumped on every close; detects reconnect mid-parse
-    uint64_t issued_total = 0;
-    uint64_t issued_reads = 0;
-    // Highest serialization point observed by this connection's served reads:
-    // the monotonic-read watermark stamped on every 0x06 request.
-    uint64_t read_watermark = 0;
-    net::FrameQueue sendq;
-    net::FrameReader reader;
+  params.concurrent_proposals = static_cast<size_t>(cfg.pipeline);
+  params.payload_bytes = cfg.value_bytes;
+  params.read_fraction = cfg.read_fraction;
+  net::EpollLoop loop;
+  std::vector<std::unique_ptr<net::ClientSession>> sessions;
+  for (int i = 0; i < cfg.connections; ++i) {
+    sessions.push_back(std::make_unique<net::ClientSession>(
+        &loop, endpoints, params, static_cast<uint64_t>(i + 1) << 32));
+  }
+  auto total = [&sessions](auto metric) {
+    uint64_t sum = 0;
+    for (const auto& s : sessions) {
+      sum += metric(s->client());
+    }
+    return sum;
   };
-
-  bool StartConn(Conn& c, const net::Endpoint& ep);
-  void CloseConn(Conn& c);
-  void OnIo(Conn& c, uint32_t bits);
-  void FinishConnect(Conn& c);
-  void Refill(Conn& c);
-  void SendAppend(Conn& c);
-  void SendRead(Conn& c);
-  void FlushConn(Conn& c);
-  void HandleFrame(Conn& c, const uint8_t* data, size_t len);
-  void OnDecided(Conn& at, uint64_t cmd_id);
-  void OnReadReply(Conn& c, const uint8_t* data, size_t len);
-  void ReconnectToLeader(Conn& c);
-
-  std::map<NodeId, net::Endpoint> servers_;
-  NodeId leader_ = kNoNode;
-  LoadConfig cfg_;
-  net::EpollLoop loop_;
-  net::FramePool pool_;
-  std::vector<Conn> conns_;
-  std::unordered_map<uint64_t, int64_t> inflight_;        // cmd id -> send ns
-  std::unordered_map<uint64_t, int64_t> inflight_reads_;  // read id -> send ns
-  std::vector<double> latencies_ms_;
-  uint64_t ops_ = 0;
-  uint64_t read_ops_ = 0;
-  uint64_t read_bounces_ = 0;
-  uint64_t ryw_violations_ = 0;
-  uint64_t unexpected_acks_ = 0;
-  uint64_t reconnects_ = 0;
-  bool measuring_ = false;
-  bool fatal_ = false;
-};
-
-bool LoadGen::StartConn(Conn& c, const net::Endpoint& ep) {
-  const int fd = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    return false;
-  }
-  int one = 1;
-  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(ep.port);
-  if (inet_pton(AF_INET, ep.host.c_str(), &addr.sin_addr) != 1) {
-    close(fd);
-    return false;
-  }
-  // The socket is O_NONBLOCK: this either completes on loopback or parks as
-  // EINPROGRESS until the loop reports writability.
-  const int rc = connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));  // NOLINT(opx-blocking-in-loop)
-  if (rc != 0 && errno != EINPROGRESS) {
-    close(fd);
-    return false;
-  }
-  c.fd = fd;
-  c.connecting = rc != 0;
-  c.hello_sent = false;
-  Conn* self = &c;
-  if (!loop_.Add(fd, [this, self](uint32_t bits) { OnIo(*self, bits); })) {
-    close(fd);
-    c.fd = -1;
-    return false;
-  }
-  if (!c.connecting) {
-    FinishConnect(c);
-  }
-  return true;
-}
-
-void LoadGen::CloseConn(Conn& c) {
-  if (c.fd < 0) {
-    return;
-  }
-  loop_.Remove(c.fd);
-  close(c.fd);
-  c.fd = -1;
-  ++c.session;
-  c.connecting = false;
-  c.hello_sent = false;
-  c.sendq.Clear(&pool_);
-  c.reader.Clear();
-}
-
-void LoadGen::FinishConnect(Conn& c) {
-  c.connecting = false;
-  // Hello frame: single byte kHelloClient.
-  net::FrameRef hello = pool_.Acquire();
-  PutU32(&hello->bytes, 1);
-  hello->bytes.push_back(net::kHelloClient);
-  c.sendq.Push(std::move(hello));
-  c.hello_sent = true;
-  Refill(c);
-  FlushConn(c);
-}
-
-void LoadGen::SendAppend(Conn& c) {
-  const uint64_t cmd =
-      (static_cast<uint64_t>(c.id + 1) << 32) | static_cast<uint64_t>(c.next_seq++);
-  net::FrameRef f = pool_.Acquire();
-  PutU32(&f->bytes, 1 + 8 + 4);
-  f->bytes.push_back(0x01);  // client append
-  PutU64(&f->bytes, cmd);
-  PutU32(&f->bytes, cfg_.value_bytes);
-  c.sendq.Push(std::move(f));
-  inflight_[cmd] = NowNs();
-  ++c.outstanding;
-}
-
-void LoadGen::SendRead(Conn& c) {
-  const uint64_t read_id =
-      (static_cast<uint64_t>(c.id + 1) << 32) | static_cast<uint64_t>(c.next_seq++);
-  net::FrameRef f = pool_.Acquire();
-  PutU32(&f->bytes, 1 + 8 + 8);
-  f->bytes.push_back(0x06);  // lease read
-  PutU64(&f->bytes, read_id);
-  PutU64(&f->bytes, c.read_watermark);
-  c.sendq.Push(std::move(f));
-  inflight_reads_[read_id] = NowNs();
-  ++c.outstanding;
-}
-
-void LoadGen::Refill(Conn& c) {
-  // Interleave reads into the pipeline so issued_reads/issued_total tracks
-  // the configured fraction (appends and reads share one id space; the two
-  // inflight maps keep the reply paths apart).
-  while (c.outstanding < cfg_.pipeline) {
-    if (cfg_.read_fraction > 0.0 &&
-        static_cast<double>(c.issued_reads) <
-            cfg_.read_fraction * static_cast<double>(c.issued_total + 1)) {
-      SendRead(c);
-      ++c.issued_reads;
-    } else {
-      SendAppend(c);
-    }
-    ++c.issued_total;
-  }
-}
-
-void LoadGen::FlushConn(Conn& c) {
-  if (c.fd < 0) {
-    return;
-  }
-  constexpr size_t kMaxIov = 64;
-  struct iovec iov[kMaxIov];
-  while (!c.sendq.empty()) {
-    const size_t n = c.sendq.BuildIovecs(iov, kMaxIov);
-    // O_NONBLOCK socket: returns EAGAIN instead of waiting for buffer space.
-    const ssize_t written = writev(c.fd, iov, static_cast<int>(n));  // NOLINT(opx-blocking-in-loop)
-    if (written < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-        return;  // resume on the next EPOLLOUT edge
-      }
-      ReconnectToLeader(c);
-      return;
-    }
-    c.sendq.Consume(static_cast<size_t>(written), &pool_);
-  }
-}
-
-void LoadGen::OnDecided(Conn& at, uint64_t cmd_id) {
-  // The server pushes a decided id once, to the connection that proposed it.
-  // An id this connection does not have in flight (another connection's, a
-  // repeat, or one forgotten by a reconnect, whose acks go to the old socket)
-  // is a server bug.
-  auto it = inflight_.find(cmd_id);
-  if (it == inflight_.end() || (cmd_id >> 32) != at.id + 1) {
-    ++unexpected_acks_;
-    return;
-  }
-  const int64_t sent = it->second;
-  inflight_.erase(it);
-  if (measuring_) {
-    ++ops_;
-    latencies_ms_.push_back(static_cast<double>(NowNs() - sent) / 1e6);
-  }
-  --at.outstanding;
-  if (at.fd >= 0 && !at.connecting) {
-    Refill(at);
-  }
-}
-
-void LoadGen::HandleFrame(Conn& c, const uint8_t* data, size_t len) {
-  if (len == 0) {
-    return;
-  }
-  switch (data[0]) {
-    case 0x02: {  // decided batch
-      if (len < 5) {
-        return;
-      }
-      const uint32_t count = GetU32(data + 1);
-      for (uint32_t i = 0; i < count && 5 + 8 * (i + 1) <= len; ++i) {
-        OnDecided(c, GetU64(data + 5 + 8 * i));
-      }
-      break;
-    }
-    case 0x05: {  // redirect: this server is not the leader
-      if (len >= 5) {
-        const NodeId hint = static_cast<NodeId>(GetU32(data + 1));
-        if (hint != kNoNode && servers_.count(hint) > 0) {
-          leader_ = hint;
-        }
-      }
-      ReconnectToLeader(c);
-      break;
-    }
-    case 0x07: {  // lease-read reply
-      OnReadReply(c, data, len);
-      break;
-    }
-    default:
-      break;
-  }
-}
-
-void LoadGen::OnReadReply(Conn& c, const uint8_t* data, size_t len) {
-  if (len < 1 + 8 + 8 + 1 + 4) {
-    return;
-  }
-  const uint64_t read_id = GetU64(data + 1);
-  const uint64_t decided = GetU64(data + 9);
-  const bool served = data[17] != 0;
-  auto it = inflight_reads_.find(read_id);
-  if (it == inflight_reads_.end()) {
-    return;  // reply outlived a reconnect
-  }
-  const int64_t sent = it->second;
-  inflight_reads_.erase(it);
-  --c.outstanding;
-  if (served) {
-    if (decided < c.read_watermark) {
-      ++ryw_violations_;  // server bug: below the watermark we stamped
-    }
-    if (decided > c.read_watermark) {
-      c.read_watermark = decided;
-    }
-    if (measuring_) {
-      ++ops_;
-      ++read_ops_;
-      latencies_ms_.push_back(static_cast<double>(NowNs() - sent) / 1e6);
-    }
-  } else {
-    ++read_bounces_;
-    const NodeId hint = static_cast<NodeId>(GetU32(data + 18));
-    if (hint != kNoNode && hint != leader_ && servers_.count(hint) > 0) {
-      leader_ = hint;
-      ReconnectToLeader(c);
-      return;
-    }
-    // Mid-election or lease lapse on the node we already target: the refill
-    // below re-issues the read on the same connection.
-  }
-  if (c.fd >= 0 && !c.connecting) {
-    Refill(c);
-  }
-}
-
-void LoadGen::ReconnectToLeader(Conn& c) {
-  CloseConn(c);
-  // Inflight commands this connection owned died with the socket; forget them
-  // so the closed loop refills instead of waiting forever.
-  for (auto it = inflight_.begin(); it != inflight_.end();) {
-    if ((it->first >> 32) == c.id + 1) {
-      it = inflight_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = inflight_reads_.begin(); it != inflight_reads_.end();) {
-    if ((it->first >> 32) == c.id + 1) {
-      it = inflight_reads_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  c.outstanding = 0;
-  ++reconnects_;
-  auto ep = servers_.find(leader_);
-  if (ep == servers_.end() || !StartConn(c, ep->second)) {
-    fatal_ = true;
-  }
-}
-
-void LoadGen::OnIo(Conn& c, uint32_t bits) {
-  if (c.fd < 0) {
-    return;
-  }
-  if ((bits & net::EpollLoop::kError) != 0) {
-    ReconnectToLeader(c);
-    return;
-  }
-  if (c.connecting && (bits & net::EpollLoop::kWritable) != 0) {
-    int err = 0;
-    socklen_t err_len = sizeof(err);
-    if (getsockopt(c.fd, SOL_SOCKET, SO_ERROR, &err, &err_len) != 0 || err != 0) {
-      ReconnectToLeader(c);
-      return;
-    }
-    FinishConnect(c);
-  }
-  if ((bits & net::EpollLoop::kReadable) != 0) {
-    for (;;) {
-      uint8_t chunk[65536];
-      // O_NONBLOCK read: drains to EAGAIN, never waits (EPOLLET contract).
-      const ssize_t n = read(c.fd, chunk, sizeof(chunk));  // NOLINT(opx-blocking-in-loop)
-      if (n > 0) {
-        const uint64_t session = c.session;
-        const bool ok = c.reader.Feed(
-            chunk, static_cast<size_t>(n),
-            [this, &c, session](const uint8_t* d, size_t l) {
-              HandleFrame(c, d, l);
-              return c.session == session;  // stop if the handler reconnected us
-            });
-        if (c.session != session) {
-          return;  // old socket is gone; the new one gets fresh edges
-        }
-        if (!ok) {
-          ReconnectToLeader(c);
-          return;
-        }
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        break;
-      }
-      if (n < 0 && errno == EINTR) {
-        continue;
-      }
-      ReconnectToLeader(c);  // EOF or hard error
-      return;
-    }
-  }
-  if ((bits & net::EpollLoop::kWritable) != 0 && !c.connecting) {
-    FlushConn(c);
-  }
-}
-
-bool LoadGen::DriveLoad(LoadResult* out) {
-  auto leader_ep = servers_.find(leader_);
-  if (leader_ep == servers_.end()) {
-    return false;
-  }
-  for (size_t i = 0; i < conns_.size(); ++i) {
-    conns_[i].id = static_cast<uint32_t>(i);
-    if (!StartConn(conns_[i], leader_ep->second)) {
-      return false;
-    }
-  }
-  const int64_t start = NowNs();
-  const int64_t measure_at = start + static_cast<int64_t>(cfg_.warmup_s * 1e9);
-  const int64_t end_at = measure_at + static_cast<int64_t>(cfg_.duration_s * 1e9);
+  auto writes = [](const rsm::Client& c) { return c.completed(); };
+  auto reads = [](const rsm::Client& c) { return c.reads_completed(); };
+  std::vector<Time> latencies;
+  latencies.reserve(1u << 20);
+  const int64_t measure_at = NowNs() + static_cast<int64_t>(cfg.warmup_s * 1e9);
+  const int64_t end_at = measure_at + static_cast<int64_t>(cfg.duration_s * 1e9);
   int64_t window_start = 0;
-  latencies_ms_.reserve(1u << 20);
-  while (!fatal_) {
-    const int64_t now = NowNs();
-    if (now >= end_at) {
-      break;
-    }
-    if (!measuring_ && now >= measure_at) {
-      measuring_ = true;
+  uint64_t writes_before = 0;
+  uint64_t reads_before = 0;
+  for (int64_t now = NowNs(); now < end_at; now = NowNs()) {
+    if (window_start == 0 && now >= measure_at) {
       window_start = now;
-      ops_ = 0;
-      latencies_ms_.clear();
-    }
-    const int64_t horizon = measuring_ ? end_at : measure_at;
-    const int timeout_ms = static_cast<int>((horizon - now + 999'999) / 1'000'000);
-    if (loop_.Wait(std::min(timeout_ms, 100)) < 0) {
-      return false;
-    }
-    // EPOLLET: frames enqueued by this batch's refills never produce a new
-    // writable edge on an already-writable socket, so drain queues here.
-    for (Conn& c : conns_) {
-      if (!c.connecting) {
-        FlushConn(c);
+      writes_before = total(writes);
+      reads_before = total(reads);
+      for (auto& s : sessions) {
+        s->client().set_latency_sink(&latencies);
       }
+    }
+    for (auto& s : sessions) {
+      s->Advance();
+    }
+    const int64_t horizon = window_start == 0 ? measure_at : end_at;
+    const int64_t wait_ms = std::min<int64_t>((horizon - now + 999'999) / 1'000'000, 10);
+    if (loop.Wait(static_cast<int>(wait_ms)) < 0) {
+      return false;
     }
   }
   const double window_s = static_cast<double>(NowNs() - window_start) / 1e9;
-  out->ops = ops_;
-  out->ops_per_sec = window_s > 0 ? static_cast<double>(ops_) / window_s : 0;
-  out->p50_ms = Percentile(latencies_ms_, 50.0);
-  out->p99_ms = Percentile(latencies_ms_, 99.0);
-  out->read_ops = read_ops_;
-  out->read_bounces = read_bounces_;
-  out->ryw_violations = ryw_violations_;
-  out->unexpected_acks = unexpected_acks_;
-  out->reconnects = reconnects_;
-  return !fatal_;
+  out->read_ops = total(reads) - reads_before;
+  out->ops = total(writes) - writes_before + out->read_ops;
+  out->ops_per_sec = window_s > 0 ? static_cast<double>(out->ops) / window_s : 0;
+  std::vector<double> latencies_ms;
+  latencies_ms.reserve(latencies.size());
+  for (Time t : latencies) {
+    latencies_ms.push_back(ToMillis(t));
+  }
+  out->p50_ms = Percentile(latencies_ms, 50.0);
+  out->p99_ms = Percentile(latencies_ms, 99.0);
+  out->read_bounces = total([](const rsm::Client& c) { return c.reads_bounced(); });
+  out->ryw_violations = total([](const rsm::Client& c) { return c.ryw_violations(); });
+  out->unexpected_acks = total([](const rsm::Client& c) { return c.stale_acks(); });
+  for (const auto& s : sessions) {
+    out->reconnects += s->reconnects();
+  }
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -682,30 +301,6 @@ NodeId AwaitLeader(const std::map<NodeId, net::Endpoint>& endpoints) {
   return kNoNode;
 }
 
-bool ParseServersFlag(const std::string& spec, std::map<NodeId, net::Endpoint>* out) {
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    const size_t comma = spec.find(',', pos);
-    const std::string item =
-        spec.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    const size_t eq = item.find('=');
-    const size_t colon = item.rfind(':');
-    if (eq == std::string::npos || colon == std::string::npos || colon < eq) {
-      return false;
-    }
-    const NodeId id = static_cast<NodeId>(std::stoul(item.substr(0, eq)));
-    net::Endpoint ep;
-    ep.host = item.substr(eq + 1, colon - eq - 1);
-    ep.port = static_cast<uint16_t>(std::stoul(item.substr(colon + 1)));
-    (*out)[id] = ep;
-    if (comma == std::string::npos) {
-      break;
-    }
-    pos = comma + 1;
-  }
-  return !out->empty();
-}
-
 // ---------------------------------------------------------------------------
 // BENCH_net.json
 // ---------------------------------------------------------------------------
@@ -732,9 +327,6 @@ void PrintJsonRow(std::FILE* f, const char* key, double ops, double p50, double 
 
 int main(int argc, char** argv) {
   using namespace opx;
-  // A peer closing mid-send must surface as EPIPE from the syscall, not kill
-  // the process (connection churn is routine here).
-  signal(SIGPIPE, SIG_IGN);
   Flags flags(argc, argv);
   LoadConfig cfg;
   cfg.connections = static_cast<int>(flags.GetInt("connections", 16));
@@ -768,9 +360,10 @@ int main(int argc, char** argv) {
   auto cluster = std::make_unique<Cluster>();
   std::map<NodeId, net::Endpoint> endpoints;
   if (!servers_spec.empty()) {
-    if (!ParseServersFlag(servers_spec, &endpoints)) {
-      std::fprintf(stderr, "bad --servers spec\n");
-      return 1;
+    std::string error;
+    if (!net::ParseEndpoints(servers_spec, &endpoints, &error)) {
+      std::fprintf(stderr, "loadgen: --servers: %s\n", error.c_str());
+      return 2;
     }
     cluster.reset();
   } else {
@@ -790,12 +383,9 @@ int main(int argc, char** argv) {
               leader, cfg.connections, cfg.pipeline, cfg.value_bytes, cfg.duration_s);
 
   LoadResult result;
-  {
-    LoadGen gen(endpoints, leader, cfg);
-    if (!gen.DriveLoad(&result)) {
-      std::fprintf(stderr, "load loop failed (lost the cluster?)\n");
-      return 1;
-    }
+  if (!RunLoad(endpoints, leader, cfg, &result)) {
+    std::fprintf(stderr, "load loop failed\n");
+    return 1;
   }
 
   if (result.ops == 0) {

@@ -93,6 +93,17 @@ inline void PatchFrameLength(std::vector<uint8_t>* bytes, size_t header_at) {
   }
 }
 
+// One pooled [u32 length][payload] frame; `encode(&bytes)` appends the
+// payload (e.g. a client_wire encoder).
+template <typename Encode>
+FrameRef BuildFrame(FramePool* pool, Encode&& encode) {
+  FrameRef frame = pool->Acquire();
+  frame->bytes.resize(4);
+  encode(&frame->bytes);
+  PatchFrameLength(&frame->bytes, 0);
+  return frame;
+}
+
 // Per-connection send queue of refcounted frames with a writev drain.
 class FrameQueue {
  public:

@@ -3,15 +3,14 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstring>
-
-#include "src/net/frame_queue.h"
+#include <utility>
 
 namespace opx::net {
 namespace {
@@ -22,56 +21,78 @@ Time MonotonicNow() {
       .count();
 }
 
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
+constexpr size_t kMaxIov = 64;
+// Pause after a refused dial, so a cluster that is entirely down is probed
+// a few dozen times a second rather than in a spin.
+constexpr Time kRedialBackoff = Millis(10);
+// Longest loop wait in a blocking call: the client's timer resolution.
+constexpr int kIdleWaitMs = 10;
 
 }  // namespace
 
-OmniClient::OmniClient(std::map<NodeId, Endpoint> servers) : servers_(std::move(servers)) {}
+ClientSession::ClientSession(EpollLoop* loop, std::map<NodeId, Endpoint> servers,
+                             rsm::ClientParams params, uint64_t first_cmd_id)
+    : loop_(loop),
+      servers_(std::move(servers)),
+      client_(std::move(params), first_cmd_id),
+      epoch_(MonotonicNow()) {}
 
-OmniClient::~OmniClient() { Disconnect(); }
+Time ClientSession::Now() const { return MonotonicNow() - epoch_; }
 
-void OmniClient::Disconnect() {
-  if (fd_ >= 0) {
-    close(fd_);
-    fd_ = -1;
+void ClientSession::Advance() {
+  const Time now = Now();
+  if (fd_ < 0 && now < redial_at_) {
+    return;  // the client keeps its work until the redial
   }
-  connected_to_ = kNoNode;
-  read_buf_.clear();
+  for (const rsm::Client::Send& send : client_.Tick(now)) {
+    if ((fd_ < 0 || send.to != server_) && !Dial(send.to)) {
+      Unreachable(send.to);  // the client re-sends to its next target
+      return;
+    }
+    for (uint64_t cmd : send.batch.cmd_ids) {
+      sendq_.Push(BuildFrame(&pool_, [&](std::vector<uint8_t>* out) {
+        client_wire::EncodeAppend(cmd, send.batch.payload_bytes, out);
+      }));
+    }
+    for (const rsm::ReadRequest& read : send.reads) {
+      sendq_.Push(BuildFrame(&pool_, [&](std::vector<uint8_t>* out) {
+        client_wire::EncodeRead(read, out);
+      }));
+    }
+  }
+  Flush();
 }
 
-bool OmniClient::ConnectTo(NodeId id) {
-  Disconnect();
-  auto it = servers_.find(id);
+void ClientSession::Connect() {
+  if (fd_ < 0 && Now() >= redial_at_ && !Dial(client_.target())) {
+    Unreachable(client_.target());
+  }
+}
+
+void ClientSession::Drop() {
+  if (fd_ >= 0) {
+    Lost();
+  }
+}
+
+bool ClientSession::RequestStatus() {
+  if (fd_ < 0) {
+    return false;
+  }
+  status_pending_ = true;
+  status_ready_ = false;
+  sendq_.Push(BuildFrame(&pool_, client_wire::EncodeStatusRequest));
+  Flush();
+  return fd_ >= 0;
+}
+
+bool ClientSession::Dial(NodeId server) {
+  Close();
+  const auto it = servers_.find(server);
   if (it == servers_.end()) {
     return false;
   }
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     return false;
   }
@@ -80,276 +101,231 @@ bool OmniClient::ConnectTo(NodeId id) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(it->second.port);
-  if (inet_pton(AF_INET, it->second.host.c_str(), &addr.sin_addr) != 1 ||
-      connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+  if (inet_pton(AF_INET, it->second.host.c_str(), &addr.sin_addr) != 1) {
+    close(fd);
+    return false;
+  }
+  // fd is O_NONBLOCK: connect() completes at once on loopback or parks as
+  // EINPROGRESS until the loop reports writability.
+  const int rc = connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));  // NOLINT(opx-blocking-in-loop)
+  if ((rc != 0 && errno != EINPROGRESS) || !loop_->Add(fd, [this](uint32_t bits) { OnIo(bits); })) {
     close(fd);
     return false;
   }
   fd_ = fd;
-  connected_to_ = id;
-  // Client hello.
-  std::vector<uint8_t> hello{kHelloClient};
-  return SendFrame(hello);
-}
-
-bool OmniClient::Connect(Time deadline) {
-  const Time until = MonotonicNow() + deadline;
-  while (MonotonicNow() < until) {
-    for (const auto& [id, endpoint] : servers_) {
-      if (ConnectTo(id)) {
-        return true;
-      }
-    }
-    usleep(50'000);
-  }
-  return false;
-}
-
-bool OmniClient::SendFrame(const std::vector<uint8_t>& payload) {
-  if (fd_ < 0) {
-    return false;
-  }
-  std::vector<uint8_t> wire;
-  PutU32(&wire, static_cast<uint32_t>(payload.size()));
-  wire.insert(wire.end(), payload.begin(), payload.end());
-  size_t sent = 0;
-  while (sent < wire.size()) {
-    const ssize_t n = ::write(fd_, wire.data() + sent, wire.size() - sent);
-    if (n <= 0) {
-      Disconnect();
-      return false;
-    }
-    sent += static_cast<size_t>(n);
-  }
+  server_ = server;
+  connecting_ = rc != 0;
+  ++dials_;
+  // The hello leads; frames queued behind it wait for the connect.
+  sendq_.Push(BuildFrame(&pool_, [](std::vector<uint8_t>* out) {
+    client_wire::EncodeHello(kHelloClient, kNoNode, out);
+  }));
   return true;
 }
 
-bool OmniClient::ReadFrame(std::vector<uint8_t>* frame, Time deadline) {
-  const Time until = MonotonicNow() + deadline;
-  for (;;) {
-    // Complete frame buffered?
-    if (read_buf_.size() >= 4) {
-      const uint32_t len = GetU32(read_buf_.data());
-      // A hostile or corrupt header is fatal for the connection: besides being
-      // a protocol violation, `4 + len` wraps in uint32 for len >= 2^32-4,
-      // which made the old `size() >= 4 + len` comparison pass and the
-      // assign() below read far past the buffer.
-      if (len > kMaxFrameBytes) {
-        Disconnect();
-        return false;
-      }
-      if (read_buf_.size() - 4 >= len) {
-        frame->assign(read_buf_.begin() + 4,
-                      read_buf_.begin() + 4 + static_cast<ptrdiff_t>(len));
-        read_buf_.erase(read_buf_.begin(),
-                        read_buf_.begin() + 4 + static_cast<ptrdiff_t>(len));
-        return true;
-      }
+void ClientSession::Close() {
+  if (fd_ >= 0) {
+    loop_->Remove(fd_);
+    close(fd_);
+    fd_ = -1;
+  }
+  connecting_ = false;
+  status_pending_ = false;
+  sendq_.Clear(&pool_);
+  reader_.Clear();
+}
+
+void ClientSession::Unreachable(NodeId server) {
+  Close();
+  client_.OnUnreachable(Now(), server);
+  redial_at_ = Now() + kRedialBackoff;
+}
+
+void ClientSession::Lost() {
+  Close();
+  client_.OnDisconnected(Now(), server_);
+}
+
+void ClientSession::OnIo(uint32_t bits) {
+  if (connecting_) {
+    int err = 0;
+    socklen_t len = sizeof(err);
+    if ((bits & EpollLoop::kError) != 0 ||
+        getsockopt(fd_, SOL_SOCKET, SO_ERROR, &err, &len) != 0 || err != 0) {
+      Unreachable(server_);
+      return;
     }
-    const Time remaining = until - MonotonicNow();
-    if (remaining <= 0 || fd_ < 0) {
-      return false;
+    connecting_ = (bits & EpollLoop::kWritable) == 0;
+  }
+  // Input first, even on an error bit: frames that arrived ahead of a reset
+  // still count.
+  const Time now = Now();
+  while (fd_ >= 0 && !connecting_ && (bits & (EpollLoop::kReadable | EpollLoop::kError)) != 0) {
+    uint8_t chunk[65536];
+    // O_NONBLOCK read: drains to EAGAIN, never waits (EPOLLET contract).
+    const ssize_t n = read(fd_, chunk, sizeof(chunk));  // NOLINT(opx-blocking-in-loop)
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      break;
     }
-    pollfd pfd{fd_, POLLIN, 0};
-    // Ceiling division: round partial milliseconds up without overshooting the
-    // deadline by a full extra millisecond (`/ 1'000'000 + 1` slept past it).
-    const int rc = poll(&pfd, 1, static_cast<int>((remaining + 999'999) / 1'000'000));
-    if (rc <= 0) {
+    if (n < 0 && errno == EINTR) {
       continue;
     }
-    uint8_t chunk[65536];
-    const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-    if (n <= 0) {
-      Disconnect();
-      return false;
+    // EOF, a hard error, or an oversized length header (protocol violation).
+    if (n <= 0 || !reader_.Feed(chunk, static_cast<size_t>(n), [&](const uint8_t* d, size_t l) {
+          HandleFrame(now, d, l);
+          return true;
+        })) {
+      Lost();
     }
-    read_buf_.insert(read_buf_.end(), chunk, chunk + n);
+  }
+  if (fd_ >= 0 && (bits & EpollLoop::kError) != 0) {
+    Lost();
+  } else if ((bits & EpollLoop::kWritable) != 0) {
+    Flush();
   }
 }
 
-void OmniClient::HandleFrame(const std::vector<uint8_t>& frame, Status* status_out) {
-  if (frame.empty()) {
-    return;
-  }
-  switch (frame[0]) {
-    case 0x02: {  // decided batch
-      if (frame.size() < 5) {
-        return;
-      }
-      const uint32_t count = GetU32(frame.data() + 1);
-      for (uint32_t i = 0; i < count && 5 + 8 * (i + 1) <= frame.size(); ++i) {
-        decided_.insert(GetU64(frame.data() + 5 + 8 * i));
+void ClientSession::HandleFrame(Time now, const uint8_t* data, size_t len) {
+  namespace wire = client_wire;
+  rsm::ReadReply reply;
+  switch (wire::OpOf(data, len)) {
+    case wire::kDecided:
+      response_.leader_hint = kNoNode;
+      if (wire::DecodeDecided(data, len, &response_.cmd_ids)) {
+        client_.OnResponse(now, server_, response_);
       }
       break;
-    }
-    case 0x04: {  // status
-      if (frame.size() >= 1 + 4 + 8 + 8 + 1 && status_out != nullptr) {
-        status_out->leader = static_cast<NodeId>(GetU32(frame.data() + 1));
-        status_out->decided = GetU64(frame.data() + 5);
-        status_out->log_len = GetU64(frame.data() + 13);
-        status_out->is_leader = frame[21] != 0;
-        if (frame.size() >= 22 + 8) {  // trailing compaction-floor extension
-          status_out->compacted = GetU64(frame.data() + 22);
-        }
+    case wire::kRedirect:
+      response_.cmd_ids.clear();
+      if (wire::DecodeRedirect(data, len, &response_.leader_hint)) {
+        client_.OnResponse(now, server_, response_);
       }
       break;
-    }
-    case 0x05: {  // redirect
-      if (frame.size() >= 5) {
-        redirect_hint_ = static_cast<NodeId>(GetU32(frame.data() + 1));
+    case wire::kReadReply:
+      if (wire::DecodeReadReply(data, len, &reply)) {
+        client_.OnReadReply(now, server_, reply);
       }
       break;
-    }
-    case 0x07: {  // lease-read reply
-      if (frame.size() >= 1 + 8 + 8 + 1 + 4) {
-        ReadReplyInfo info;
-        const uint64_t read_id = GetU64(frame.data() + 1);
-        info.decided = GetU64(frame.data() + 9);
-        info.served = frame[17] != 0;
-        info.leader = static_cast<NodeId>(GetU32(frame.data() + 18));
-        read_replies_[read_id] = info;
-      }
+    case wire::kStatus:
+      status_ready_ = wire::DecodeStatus(data, len, &status_);
+      status_pending_ = !status_ready_;
       break;
-    }
     default:
       break;
   }
 }
 
-bool OmniClient::Append(uint64_t cmd_id, uint32_t payload_bytes) {
-  if (fd_ < 0 && !Connect()) {
-    return false;
+void ClientSession::Flush() {
+  struct iovec iov[kMaxIov];
+  while (fd_ >= 0 && !connecting_ && !sendq_.empty()) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = sendq_.BuildIovecs(iov, kMaxIov);
+    // O_NONBLOCK: EAGAIN resumes on the next EPOLLOUT edge; a server that
+    // went away is EPIPE, not SIGPIPE.
+    const ssize_t written = sendmsg(fd_, &msg, MSG_NOSIGNAL);  // NOLINT(opx-blocking-in-loop)
+    if (written >= 0) {
+      sendq_.Consume(static_cast<size_t>(written), &pool_);
+    } else if (errno != EINTR) {
+      if (errno != EAGAIN && errno != EWOULDBLOCK) {
+        Lost();
+      }
+      return;
+    }
   }
-  std::vector<uint8_t> req;
-  req.push_back(0x01);
-  PutU64(&req, cmd_id);
-  PutU32(&req, payload_bytes);
-  return SendFrame(req);
 }
 
-bool OmniClient::WaitDecided(uint64_t cmd_id, Time deadline) {
-  const Time until = MonotonicNow() + deadline;
-  while (decided_.count(cmd_id) == 0) {
-    const Time remaining = until - MonotonicNow();
-    if (remaining <= 0) {
+// --- OmniClient --------------------------------------------------------------
+
+namespace {
+
+rsm::ClientParams BlockingParams(const std::map<NodeId, Endpoint>& servers) {
+  rsm::ClientParams params;
+  params.servers.clear();
+  for (const auto& [id, endpoint] : servers) {
+    params.servers.push_back(id);
+  }
+  params.concurrent_proposals = 0;      // only the caller's commands
+  params.retry_timeout = Millis(300);  // re-propose (and maybe rotate) after this
+  return params;
+}
+
+}  // namespace
+
+OmniClient::OmniClient(std::map<NodeId, Endpoint> servers)
+    : session_(&loop_, servers, BlockingParams(servers)) {}
+
+template <typename Done>
+bool OmniClient::RunUntil(Done done, Time deadline) {
+  const Time until = session_.Now() + deadline;
+  for (;;) {
+    session_.Advance();
+    if (done()) {
+      return true;
+    }
+    const Time left = until - session_.Now();
+    // Wakes on the first frame; the cap keeps the client's timers ticking.
+    const Time wait_ms = std::min<Time>((left + 999'999) / 1'000'000, kIdleWaitMs);
+    if (left <= 0 || loop_.Wait(static_cast<int>(wait_ms)) < 0) {
       return false;
     }
-    std::vector<uint8_t> frame;
-    if (!ReadFrame(&frame, std::min<Time>(remaining, Millis(200)))) {
-      if (fd_ < 0 && !Connect(remaining)) {
-        return false;
-      }
-      continue;
-    }
-    HandleFrame(frame, nullptr);
+  }
+}
+
+bool OmniClient::Connect(Time deadline) {
+  session_.Drop();
+  return RunUntil(
+      [this] {
+        session_.Connect();
+        return session_.established();
+      },
+      deadline);
+}
+
+bool OmniClient::Append(uint64_t cmd_id, uint32_t payload_bytes) {
+  if (!session_.established() && !Connect()) {
+    return false;
+  }
+  session_.client().set_payload_bytes(payload_bytes);
+  session_.client().Propose(session_.Now(), cmd_id);
+  session_.Advance();
+  return session_.server() != kNoNode;
+}
+
+bool OmniClient::AppendAndWait(uint64_t cmd_id, uint32_t payload_bytes, Time deadline) {
+  rsm::Client& client = session_.client();
+  client.set_payload_bytes(payload_bytes);
+  client.Propose(session_.Now(), cmd_id);
+  return RunUntil([&] { return !client.IsPending(cmd_id); }, deadline);
+}
+
+bool OmniClient::LeaseRead(uint64_t watermark, uint64_t* decided_out, Time deadline) {
+  rsm::Client& client = session_.client();
+  const uint64_t read_id = client.Read(session_.Now(), watermark);
+  if (!RunUntil([&] { return !client.IsReadPending(read_id); }, deadline)) {
+    client.ForgetRead(read_id);
+    return false;
+  }
+  if (decided_out != nullptr) {
+    // One read at a time: a served read sits at or above every index seen
+    // before it (else it counts in ryw_violations), so the watermark is its
+    // serialization point.
+    *decided_out = client.read_watermark();
   }
   return true;
 }
 
-bool OmniClient::AppendAndWait(uint64_t cmd_id, uint32_t payload_bytes, Time deadline) {
-  const Time until = MonotonicNow() + deadline;
-  while (MonotonicNow() < until) {
-    redirect_hint_ = kNoNode;
-    if (!Append(cmd_id, payload_bytes)) {
-      continue;
-    }
-    // Wait a slice for either the decided id or a redirect.
-    const Time slice = std::min<Time>(until - MonotonicNow(), Millis(300));
-    const Time slice_end = MonotonicNow() + slice;
-    while (MonotonicNow() < slice_end && decided_.count(cmd_id) == 0 &&
-           redirect_hint_ == kNoNode) {
-      std::vector<uint8_t> frame;
-      if (ReadFrame(&frame, Millis(50))) {
-        HandleFrame(frame, nullptr);
-      } else if (fd_ < 0) {
-        break;
-      }
-    }
-    if (decided_.count(cmd_id) > 0) {
-      return true;
-    }
-    if (redirect_hint_ != kNoNode && servers_.count(redirect_hint_) > 0) {
-      ConnectTo(redirect_hint_);
-    } else if (fd_ < 0) {
-      Connect(until - MonotonicNow());
-    } else {
-      // Not decided and no redirect: rotate to the next server.
-      auto it = servers_.upper_bound(connected_to_);
-      ConnectTo(it == servers_.end() ? servers_.begin()->first : it->first);
-    }
-  }
-  return decided_.count(cmd_id) > 0;
-}
-
-bool OmniClient::LeaseRead(uint64_t watermark, uint64_t* decided_out, Time deadline) {
-  const Time until = MonotonicNow() + deadline;
-  while (MonotonicNow() < until) {
-    if (fd_ < 0 && !Connect(until - MonotonicNow())) {
-      return false;
-    }
-    const uint64_t read_id = next_read_id_++;
-    std::vector<uint8_t> req;
-    req.push_back(0x06);
-    PutU64(&req, read_id);
-    PutU64(&req, watermark);
-    if (!SendFrame(req)) {
-      continue;
-    }
-    while (MonotonicNow() < until && read_replies_.count(read_id) == 0) {
-      std::vector<uint8_t> frame;
-      if (ReadFrame(&frame, Millis(50))) {
-        HandleFrame(frame, nullptr);
-      } else if (fd_ < 0) {
-        break;
-      }
-    }
-    const auto it = read_replies_.find(read_id);
-    if (it == read_replies_.end()) {
-      continue;  // disconnected mid-wait; reconnect and retry
-    }
-    const ReadReplyInfo info = it->second;
-    read_replies_.erase(it);
-    if (info.served) {
-      if (decided_out != nullptr) {
-        *decided_out = info.decided;
-      }
-      return true;
-    }
-    // Bounced: not the leader, lease lapsed, or behind the watermark.
-    if (info.leader != kNoNode && info.leader != connected_to_ &&
-        servers_.count(info.leader) > 0) {
-      ConnectTo(info.leader);
-    } else {
-      usleep(10'000);  // mid-election or catching up; retry shortly
-    }
-  }
-  return false;
-}
-
 bool OmniClient::GetStatus(Status* out, Time deadline) {
-  if (fd_ < 0 && !Connect(deadline)) {
+  if ((!session_.established() && !Connect(deadline)) || !session_.RequestStatus()) {
     return false;
   }
-  std::vector<uint8_t> req{0x03};
-  if (!SendFrame(req)) {
+  // Ends when the reply arrives or its connection closes.
+  RunUntil([this] { return !session_.status_pending(); }, deadline);
+  if (session_.status() == nullptr) {
     return false;
   }
-  const Time until = MonotonicNow() + deadline;
-  while (MonotonicNow() < until) {
-    std::vector<uint8_t> frame;
-    if (!ReadFrame(&frame, Millis(100))) {
-      if (fd_ < 0) {
-        return false;
-      }
-      continue;
-    }
-    if (!frame.empty() && frame[0] == 0x04) {
-      HandleFrame(frame, out);
-      return true;
-    }
-    HandleFrame(frame, nullptr);
-  }
-  return false;
+  *out = *session_.status();
+  return true;
 }
 
 }  // namespace opx::net

@@ -9,22 +9,6 @@
 #include "src/util/logging.h"
 
 namespace opx::net {
-namespace {
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-}  // namespace
-
 OmniTcpServer::OmniTcpServer(ServerOptions options) : options_(std::move(options)) {
   OPX_CHECK_NE(options_.id, kNoNode);
 }
@@ -143,84 +127,55 @@ void OmniTcpServer::OnPeerMessage(NodeId from, omni::OmniMessage msg) {
 }
 
 void OmniTcpServer::OnClientFrame(uint64_t client, const uint8_t* data, size_t len) {
-  if (len == 0) {
-    return;
-  }
-  switch (data[0]) {
-    case 0x01: {  // append
-      if (len < 1 + 8 + 4) {
-        return;
-      }
+  namespace wire = client_wire;
+  scratch_.clear();
+  switch (wire::OpOf(data, len)) {
+    case wire::kAppend: {
       uint64_t cmd_id = 0;
-      uint32_t payload = 0;
-      for (int i = 0; i < 8; ++i) {
-        cmd_id |= static_cast<uint64_t>(data[1 + i]) << (8 * i);
-      }
-      for (int i = 0; i < 4; ++i) {
-        payload |= static_cast<uint32_t>(data[9 + i]) << (8 * i);
+      uint32_t payload_bytes = 0;
+      if (!wire::DecodeAppend(data, len, &cmd_id, &payload_bytes)) {
+        return;
       }
       if (node_->IsLeader()) {
         // No Pump here: appends admitted during this epoll pass flush
         // together in StepOnce's post-Poll Pump — request batching turns an
         // append burst into one <AcceptDecide> fan-out. The decided id is
         // pushed back to this connection only; a re-append moves it here.
-        node_->Append(omni::Entry::Command(cmd_id, payload));
+        node_->Append(omni::Entry::Command(cmd_id, payload_bytes));
         proposers_[cmd_id] = client;
-      } else {
-        std::vector<uint8_t> redirect;
-        redirect.push_back(0x05);
-        PutU32(&redirect, static_cast<uint32_t>(node_->leader_hint()));
-        transport_->SendToClient(client, redirect.data(), redirect.size());
-      }
-      break;
-    }
-    case 0x06: {  // lease read
-      if (len < 1 + 8 + 8) {
         return;
       }
-      uint64_t read_id = 0;
-      uint64_t watermark = 0;
-      for (int i = 0; i < 8; ++i) {
-        read_id |= static_cast<uint64_t>(data[1 + i]) << (8 * i);
-        watermark |= static_cast<uint64_t>(data[9 + i]) << (8 * i);
+      wire::EncodeRedirect(node_->leader_hint(), &scratch_);
+      break;
+    }
+    case wire::kRead: {
+      rsm::ReadRequest read;
+      if (!wire::DecodeRead(data, len, &read)) {
+        return;
       }
       const LogIndex decided = node_->decided_idx();
-      const bool served = node_->CanServeLocalReads() && decided >= watermark;
+      const bool served = node_->CanServeLocalReads() && decided >= read.watermark;
       if (served) {
         OPX_TRACE(options_.obs, obs::EventKind::kLeaseRead, options_.id, kNoNode, 0,
-                  decided, watermark);
+                  decided, read.watermark);
 #if defined(OPX_OBS_ENABLED)
         if (lease_reads_ctr_ != nullptr) {
           lease_reads_ctr_->Inc();
         }
 #endif
       }
-      std::vector<uint8_t> reply;
-      reply.push_back(0x07);
-      PutU64(&reply, read_id);
-      PutU64(&reply, decided);
-      reply.push_back(served ? 1 : 0);
-      PutU32(&reply, static_cast<uint32_t>(node_->leader_hint()));
-      transport_->SendToClient(client, reply.data(), reply.size());
+      wire::EncodeReadReply({read.read_id, decided, served, node_->leader_hint()}, &scratch_);
       break;
     }
-    case 0x03: {  // status
-      std::vector<uint8_t> status;
-      status.push_back(0x04);
-      PutU32(&status, static_cast<uint32_t>(node_->leader_hint()));
-      PutU64(&status, node_->decided_idx());
-      PutU64(&status, node_->log_len());
-      status.push_back(node_->IsLeader() ? 1 : 0);
-      // Trailing extension (older parsers read the fixed prefix and ignore
-      // this): compaction floor, so clients can observe bounded log memory
-      // (log_len - compacted = resident suffix entries).
-      PutU64(&status, storage_->compacted_idx());
-      transport_->SendToClient(client, status.data(), status.size());
+    case wire::kStatusRequest:
+      wire::EncodeStatus({node_->leader_hint(), node_->decided_idx(), node_->log_len(),
+                          node_->IsLeader(), storage_->compacted_idx()},
+                         &scratch_);
       break;
-    }
     default:
-      break;
+      return;
   }
+  transport_->SendToClient(client, scratch_.data(), scratch_.size());
 }
 
 void OmniTcpServer::Pump() {
@@ -260,19 +215,16 @@ void OmniTcpServer::Pump() {
           replies_.emplace_back();
         }
         replies_[r].first = it->second;
-        replies_[r].second.assign({0x02, 0, 0, 0, 0});  // count patched below
+        replies_[r].second.clear();
         ++used;
       }
-      PutU64(&replies_[r].second, e.cmd_id);
+      replies_[r].second.push_back(e.cmd_id);
       proposers_.erase(it);
     }
     for (size_t r = 0; r < used; ++r) {
-      std::vector<uint8_t>& batch = replies_[r].second;
-      const auto n = static_cast<uint32_t>((batch.size() - 5) / 8);
-      for (int k = 0; k < 4; ++k) {
-        batch[1 + k] = static_cast<uint8_t>(n >> (8 * k));
-      }
-      transport_->SendToClient(replies_[r].first, batch.data(), batch.size());
+      scratch_.clear();
+      client_wire::EncodeDecided(replies_[r].second, &scratch_);
+      transport_->SendToClient(replies_[r].first, scratch_.data(), scratch_.size());
     }
   }
   pushed_ = decided;

@@ -3,15 +3,9 @@
 // single-threaded event loop. This is what `tools/omni_node` runs, and what
 // a downstream user embeds to deploy an actual cluster.
 //
-// Client API (frames over the same listen port, after a kHelloClient hello):
-//   -> [0x01][u64 cmd_id][u32 payload_bytes]     append request
-//   <- [0x02][u32 n][u64 cmd_id × n]             decided batch (pushed to
-//                                                the proposing connection)
-//   -> [0x03]                                    status request
-//   <- [0x04][u32 leader][u64 decided][u64 len][u8 is_leader]
-//   <- [0x05][u32 leader]                        redirect (not leader)
-//   -> [0x06][u64 read_id][u64 watermark]        lease read request
-//   <- [0x07][u64 read_id][u64 decided][u8 served][u32 leader]
+// Client API: the frames of client_wire.h over the same listen port, after a
+// kHelloClient hello — append (0x01), decided batch (0x02), status (0x03/0x04),
+// redirect (0x05) and lease read (0x06/0x07).
 //
 // Append requests are admitted into the proposal queue as they arrive but
 // flushed into accepts once per event-loop pass (StepOnce's Pump) — request
@@ -109,8 +103,9 @@ class OmniTcpServer {
   // cmd_id -> proposing client, filled on append while leading, erased when
   // the id is pushed, cleared once this server no longer leads.
   std::unordered_map<uint64_t, uint64_t> proposers_;
-  // Pump's per-client 0x02 frames under construction, reused across passes.
-  std::vector<std::pair<uint64_t, std::vector<uint8_t>>> replies_;
+  // Pump's per-client decided ids under construction, reused across passes.
+  std::vector<std::pair<uint64_t, std::vector<uint64_t>>> replies_;
+  std::vector<uint8_t> scratch_;  // one client frame being encoded
   LogIndex pushed_ = 0;   // decided entries already pushed to clients
   int tick_timer_ = -1;   // election timerfd inside the transport's loop
   std::string start_error_;

@@ -8,7 +8,9 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstring>
@@ -34,7 +36,47 @@ void SetNoDelay(int fd) {
 // already >98% and the iovec array stays cache-resident on the stack.
 constexpr size_t kMaxIov = 64;
 
+// The whole of `text` as a decimal number in 1..max.
+bool ParsePositive(const std::string& text, uint64_t max, uint64_t* out) {
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && stop == end && *out >= 1 && *out <= max;
+}
+
 }  // namespace
+
+bool ParseEndpoints(const std::string& spec, std::map<NodeId, Endpoint>* out,
+                    std::string* error) {
+  out->clear();
+  for (size_t pos = 0;;) {
+    const size_t comma = std::min(spec.find(',', pos), spec.size());
+    const std::string item = spec.substr(pos, comma - pos);
+    const size_t eq = item.find('=');
+    const size_t colon = item.rfind(':');
+    uint64_t id = 0;
+    uint64_t port = 0;
+    const char* why = nullptr;
+    if (eq == std::string::npos || colon == std::string::npos || colon <= eq + 1) {
+      why = "want ID=HOST:PORT";
+    } else if (!ParsePositive(item.substr(0, eq), INT32_MAX, &id)) {
+      why = "id must be a number in 1..2147483647";
+    } else if (!ParsePositive(item.substr(colon + 1), 65535, &port)) {
+      why = "port must be a number in 1..65535";
+    } else if (out->count(static_cast<NodeId>(id)) > 0) {
+      why = "duplicate id";
+    }
+    if (why != nullptr) {
+      *error = "bad endpoint '" + item + "': " + why;
+      return false;
+    }
+    (*out)[static_cast<NodeId>(id)] =
+        Endpoint{item.substr(eq + 1, colon - eq - 1), static_cast<uint16_t>(port)};
+    if (comma == spec.size()) {
+      return true;
+    }
+    pos = comma + 1;
+  }
+}
 
 // One TCP connection (inbound or outbound). Outbound frames live in a
 // FrameQueue of refcounted encoded buffers (shared across peers for
@@ -217,20 +259,12 @@ bool TcpTransport::SendRepeat(NodeId to) {
   return true;
 }
 
-FrameRef TcpTransport::EncodeFrame(const uint8_t* data, size_t len) {
-  FrameRef frame = pool_.Acquire();
-  frame->bytes.reserve(4 + len);
-  for (int i = 0; i < 4; ++i) {
-    frame->bytes.push_back(static_cast<uint8_t>(static_cast<uint32_t>(len) >> (8 * i)));
-  }
-  frame->bytes.insert(frame->bytes.end(), data, data + len);
-  return frame;
-}
-
 void TcpTransport::SendToClient(uint64_t client, const uint8_t* data, size_t len) {
   for (auto& conn : connections_) {
     if (conn->is_client && conn->client_id == client && !conn->closed) {
-      conn->sendq.Push(EncodeFrame(data, len));
+      conn->sendq.Push(BuildFrame(&pool_, [&](std::vector<uint8_t>* out) {
+        out->insert(out->end(), data, data + len);
+      }));
       MarkDirty(*conn);
       return;
     }
@@ -350,12 +384,9 @@ void TcpTransport::HandleWritable(Connection& conn) {
     conn.connecting = false;
   }
   if (conn.outbound && !conn.hello_sent) {
-    uint8_t hello[5];
-    hello[0] = kHelloPeer;
-    for (int i = 0; i < 4; ++i) {
-      hello[1 + i] = static_cast<uint8_t>(static_cast<uint32_t>(self_) >> (8 * i));
-    }
-    conn.sendq.Push(EncodeFrame(hello, sizeof(hello)));
+    conn.sendq.Push(BuildFrame(&pool_, [this](std::vector<uint8_t>* out) {
+      client_wire::EncodeHello(kHelloPeer, self_, out);
+    }));
     MarkDirty(conn);
     conn.hello_sent = true;
     if (met_.reconnects != nullptr) {
@@ -415,20 +446,16 @@ void TcpTransport::OnFrame(Connection& conn, const uint8_t* data, size_t len) {
   }
   if (!conn.outbound && conn.peer == kNoNode && !conn.is_client) {
     // Expect a hello frame.
-    if (len == 5 && data[0] == kHelloPeer) {
-      uint32_t id = 0;
-      for (int i = 0; i < 4; ++i) {
-        id |= static_cast<uint32_t>(data[1 + i]) << (8 * i);
-      }
-      conn.peer = static_cast<NodeId>(id);
-      return;
-    }
-    if (len >= 1 && data[0] == kHelloClient) {
+    uint8_t kind = 0;
+    NodeId peer = kNoNode;
+    if (!client_wire::DecodeHello(data, len, &kind, &peer)) {
+      CloseConnection(conn);
+    } else if (kind == kHelloPeer) {
+      conn.peer = peer;
+    } else {
       conn.is_client = true;
       conn.client_id = static_cast<uint64_t>(next_client_id_++);
-      return;
     }
-    CloseConnection(conn);
     return;
   }
   if (conn.is_client) {

@@ -8,9 +8,9 @@
 // paper derives from TCP session re-establishment (§4.1.3).
 //
 // Framing: [u32 length][payload]. The first frame on any connection is a
-// hello: [u8 kind][u32 id] (kind: peer server or client). Subsequent frames
-// are codec-encoded protocol messages (peers) or client API frames (clients;
-// interpreted by the server layer, not here).
+// hello (client_wire.h): [u8 kind][u32 id] from a peer server, [u8 kind] from
+// a client. Subsequent frames are codec-encoded protocol messages (peers) or
+// client API frames (clients; interpreted by the server layer, not here).
 //
 // Hot path (DESIGN.md §14): readiness comes from an EpollLoop (registered
 // interest lists, edge-triggered, timerfd-driven reconnect sweep) instead of
@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "src/net/client_wire.h"
 #include "src/net/epoll_loop.h"
 #include "src/net/frame_queue.h"
 #include "src/obs/net_metrics.h"
@@ -49,9 +50,11 @@ struct Endpoint {
   uint16_t port = 0;
 };
 
-// Hello kinds (first byte of the first frame).
-constexpr uint8_t kHelloPeer = 0xFE;
-constexpr uint8_t kHelloClient = 0xFD;
+// Parses an endpoint list, "1=127.0.0.1:7001,2=10.0.0.2:7002", into `out`.
+// An empty item, a non-numeric id or port, id 0 (kNoNode), a port outside
+// 1..65535, an empty host or a repeated id fails with the reason in `error`.
+bool ParseEndpoints(const std::string& spec, std::map<NodeId, Endpoint>* out,
+                    std::string* error);
 
 class TcpTransport {
  public:
@@ -136,8 +139,6 @@ class TcpTransport {
   void FlushConn(Connection& conn);
   void MarkDirty(Connection& conn);
   void ReconnectSweep();
-  // Wraps a payload as a [u32 len][payload] frame from the pool.
-  FrameRef EncodeFrame(const uint8_t* data, size_t len);
 
   NodeId self_;
   uint16_t listen_port_;

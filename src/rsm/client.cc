@@ -6,10 +6,29 @@
 
 namespace opx::rsm {
 
-Client::Client(ClientParams params) : params_(params) {
-  OPX_CHECK_GT(params_.num_servers, 0);
-  OPX_CHECK_GT(params_.concurrent_proposals, 0u);
-  target_ = 1;
+std::vector<NodeId> ServerIds(int n) {
+  std::vector<NodeId> ids;
+  for (NodeId id = 1; id <= n; ++id) {
+    ids.push_back(id);
+  }
+  return ids;
+}
+
+Client::Client(ClientParams params, uint64_t first_cmd_id)
+    : params_(std::move(params)), next_cmd_(first_cmd_id) {
+  OPX_CHECK(!params_.servers.empty());
+  target_ = params_.servers.front();
+}
+
+bool Client::Knows(NodeId server) const {
+  return std::find(params_.servers.begin(), params_.servers.end(), server) !=
+         params_.servers.end();
+}
+
+void Client::Rotate() {
+  const auto it = std::find(params_.servers.begin(), params_.servers.end(), target_);
+  const bool wraps = it == params_.servers.end() || it + 1 == params_.servers.end();
+  target_ = wraps ? params_.servers.front() : *(it + 1);
 }
 
 std::vector<Client::Send> Client::Tick(Time now) {
@@ -27,7 +46,7 @@ std::vector<Client::Send> Client::Tick(Time now) {
     // same target is the productive move.
     if (now - std::max(last_response_, last_completion_) > params_.retry_timeout) {
       suspect_ = target_;
-      target_ = target_ % params_.num_servers + 1;
+      Rotate();
     }
     last_response_ = now;  // back off one retry period before rotating again
     last_write_response_ = now;
@@ -52,13 +71,13 @@ std::vector<Client::Send> Client::Tick(Time now) {
   // captured at issue time (the constraint the read must satisfy); top-ups
   // carry the current one.
   std::vector<ReadRequest> reads;
-  if (params_.read_fraction > 0.0) {
-    if (need_read_resend_) {
-      need_read_resend_ = false;
-      for (const auto& [id, pending] : outstanding_reads_) {
-        reads.push_back(ReadRequest{id, pending.watermark});
-      }
+  if (need_read_resend_) {
+    need_read_resend_ = false;
+    for (const auto& [id, pending] : outstanding_reads_) {
+      reads.push_back(ReadRequest{id, pending.watermark});
     }
+  }
+  if (params_.read_fraction > 0.0) {
     const size_t target_reads = static_cast<size_t>(
         static_cast<double>(params_.concurrent_proposals) * params_.read_fraction + 0.999);
     while (outstanding_reads_.size() < target_reads) {
@@ -75,13 +94,15 @@ std::vector<Client::Send> Client::Tick(Time now) {
 }
 
 void Client::OnResponse(Time now, NodeId from, const ResponseBatch& batch) {
-  if (batch.cmd_ids.empty() && batch.leader_hint == kNoNode) {
+  // A hint naming a server outside the list cannot be followed.
+  const NodeId hint = Knows(batch.leader_hint) ? batch.leader_hint : kNoNode;
+  if (batch.cmd_ids.empty() && hint == kNoNode) {
     // Uninformative rejection (server knows no leader). Do not refresh the
     // retry timer — otherwise a stream of such rejections would suppress the
     // rotation that eventually finds a serving leader.
     return;
   }
-  if (batch.cmd_ids.empty() && batch.leader_hint == suspect_) {
+  if (batch.cmd_ids.empty() && hint == suspect_) {
     // Redirect back to the server we just timed out on. Following it would
     // trap the client between two stale minority nodes that hint each other.
     // Keep re-proposing to the current target instead (it may be mid-election
@@ -92,11 +113,11 @@ void Client::OnResponse(Time now, NodeId from, const ResponseBatch& batch) {
   }
   last_response_ = now;
   last_write_response_ = now;
-  if (batch.leader_hint != kNoNode && batch.leader_hint != target_) {
+  if (hint != kNoNode && hint != target_) {
     // Redirected: move to the hinted leader and re-propose what is in flight.
-    target_ = batch.leader_hint;
+    target_ = hint;
     need_reproposal_ = true;
-  } else if (batch.leader_hint == kNoNode && !batch.cmd_ids.empty()) {
+  } else if (hint == kNoNode && !batch.cmd_ids.empty()) {
     // Responses prove `from` decides entries; stick with it. Switching
     // targets must re-propose: everything outstanding was sent to the old
     // target (a fresh leader replaying in-flight duplicates would otherwise
@@ -125,8 +146,9 @@ void Client::OnReadReply(Time now, NodeId from, const ReadReply& reply) {
   if (!reply.served) {
     // Not a leader / lease lapsed / behind our watermark. Follow a fresh
     // hint (same suspect discipline as writes) and queue a re-send.
-    if (reply.leader_hint != kNoNode && reply.leader_hint != suspect_ &&
-        reply.leader_hint != target_) {
+    ++reads_bounced_;
+    if (reply.leader_hint != kNoNode && Knows(reply.leader_hint) &&
+        reply.leader_hint != suspect_ && reply.leader_hint != target_) {
       target_ = reply.leader_hint;
       need_reproposal_ = true;
     }
@@ -138,17 +160,57 @@ void Client::OnReadReply(Time now, NodeId from, const ReadReply& reply) {
     ++ryw_violations_;  // served below the read's required watermark
   }
   read_latency_sum_seconds_ += ToSeconds(now - it->second.first_sent);
+  if (latency_sink_ != nullptr) {
+    latency_sink_->push_back(now - it->second.first_sent);
+  }
   read_watermark_ = std::max(read_watermark_, reply.decided_idx);
   outstanding_reads_.erase(it);
   ++reads_completed_;
 }
 
+void Client::Propose(Time now, uint64_t cmd_id) {
+  if (outstanding_.empty()) {
+    last_write_response_ = now;  // an idle client's retry clock starts now
+  }
+  need_reproposal_ |= outstanding_.emplace(cmd_id, now).second;
+}
+
+uint64_t Client::Read(Time now, uint64_t watermark) {
+  const uint64_t id = next_read_++;
+  outstanding_reads_.emplace(id, PendingRead{std::max(watermark, read_watermark_), now});
+  need_read_resend_ = true;
+  return id;
+}
+
+void Client::OnDisconnected(Time, NodeId server) {
+  if (server == target_) {
+    need_reproposal_ = true;
+    need_read_resend_ = true;
+  }
+}
+
+void Client::OnUnreachable(Time now, NodeId server) {
+  if (server != target_) {
+    return;
+  }
+  suspect_ = target_;
+  Rotate();
+  last_response_ = now;  // the next silent rotation is a full period away
+  last_write_response_ = now;
+  need_reproposal_ = true;
+  need_read_resend_ = true;
+}
+
 void Client::RecordCompletion(Time now, uint64_t cmd_id) {
   auto it = outstanding_.find(cmd_id);
   if (it == outstanding_.end()) {
-    return;  // duplicate decision (re-proposal); count only the first
+    ++stale_acks_;  // duplicate decision (re-proposal); count only the first
+    return;
   }
   latency_sum_seconds_ += ToSeconds(now - it->second);
+  if (latency_sink_ != nullptr) {
+    latency_sink_->push_back(now - it->second);
+  }
   outstanding_.erase(it);
   suspect_ = kNoNode;  // progress resumed; hints are trustworthy again
   ++completed_;

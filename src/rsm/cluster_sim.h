@@ -292,7 +292,7 @@ class ClusterSim {
 
   static ClientParams MakeClientParams(const ClusterParams& p) {
     ClientParams cp;
-    cp.num_servers = p.num_servers;
+    cp.servers = ServerIds(p.num_servers);
     cp.concurrent_proposals = p.concurrent_proposals;
     cp.payload_bytes = p.payload_bytes;
     cp.retry_timeout = p.retry_timeout == 0 ? std::max<Time>(4 * p.election_timeout, Millis(200))

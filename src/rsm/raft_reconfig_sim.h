@@ -141,7 +141,7 @@ class RaftReconfigSim {
 
   static ClientParams MakeClientParams(const ReconfigParams& p, int pool) {
     ClientParams cp;
-    cp.num_servers = pool;
+    cp.servers = ServerIds(pool);
     cp.concurrent_proposals = p.concurrent_proposals;
     cp.payload_bytes = p.payload_bytes;
     cp.retry_timeout = std::max<Time>(4 * p.election_timeout, p.client_retry);

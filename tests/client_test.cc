@@ -14,7 +14,7 @@ using rsm::ResponseBatch;
 
 ClientParams Params(size_t cp = 10) {
   ClientParams p;
-  p.num_servers = 3;
+  p.servers = {1, 2, 3};
   p.concurrent_proposals = cp;
   p.retry_timeout = Millis(100);
   return p;
@@ -134,6 +134,133 @@ TEST(Client, MeanLatencyAveragesProposeToDecide) {
   resp.cmd_ids = first[0].batch.cmd_ids;
   client.OnResponse(Millis(100), 1, resp);
   EXPECT_NEAR(client.MeanLatencySeconds(), 0.1, 1e-9);
+}
+
+// Rotation and redirects follow the configured list, whatever its ids: the
+// TCP drivers hand the client the ids of the servers they have endpoints
+// for.
+TEST(Client, NonContiguousServerIdsRotateInListOrder) {
+  ClientParams p = Params(3);
+  p.servers = {2, 5, 9};
+  Client client(p);
+  EXPECT_EQ(client.Tick(0)[0].to, 2);
+  EXPECT_EQ(client.Tick(Millis(150))[0].to, 5);
+  EXPECT_EQ(client.Tick(Millis(300))[0].to, 9);
+  EXPECT_EQ(client.Tick(Millis(450))[0].to, 2);  // wraps to the front
+}
+
+TEST(Client, FollowsHintsOnlyToListedServers) {
+  ClientParams p = Params(3);
+  p.servers = {2, 5, 9};
+  Client client(p);
+  (void)client.Tick(0);
+  ResponseBatch redirect;
+  redirect.leader_hint = 4;  // not a server this client can reach
+  client.OnResponse(Millis(1), 2, redirect);
+  EXPECT_TRUE(client.Tick(Millis(2)).empty());  // no move, nothing re-sent
+  redirect.leader_hint = 9;
+  client.OnResponse(Millis(3), 2, redirect);
+  const auto resend = client.Tick(Millis(4));
+  ASSERT_EQ(resend.size(), 1u);
+  EXPECT_EQ(resend[0].to, 9);
+  EXPECT_EQ(resend[0].batch.cmd_ids.size(), 3u);
+}
+
+// The server acks an id only on the connection that proposed it, so a lost
+// connection loses every ack in flight on it: the next Tick re-sends them all
+// to the same target.
+TEST(Client, ReproposesInFlightWorkAfterConnectionLoss) {
+  ClientParams p = Params(4);
+  p.read_fraction = 0.5;
+  Client client(p);
+  const auto first = client.Tick(0);
+  ASSERT_EQ(first.size(), 1u);
+  ResponseBatch resp;
+  resp.cmd_ids = {first[0].batch.cmd_ids[0]};
+  client.OnResponse(Millis(1), 1, resp);
+  client.OnDisconnected(Millis(2), 1);
+  const auto resend = client.Tick(Millis(3));
+  ASSERT_EQ(resend.size(), 1u);
+  EXPECT_EQ(resend[0].to, 1);  // same target: a drop is not a rotation
+  // Three survivors re-proposed, one top-up for the completed command.
+  EXPECT_EQ(resend[0].batch.cmd_ids.size(), 4u);
+  EXPECT_EQ(resend[0].reads.size(), 2u);
+  // Loss of a connection to a server the client already left changes nothing.
+  client.OnDisconnected(Millis(4), 3);
+  EXPECT_TRUE(client.Tick(Millis(5)).empty());
+}
+
+TEST(Client, UnreachableServerIsRotatedPastAtOnce) {
+  Client client(Params(2));
+  (void)client.Tick(0);
+  client.OnUnreachable(Millis(1), 1);
+  const auto resend = client.Tick(Millis(2));
+  ASSERT_EQ(resend.size(), 1u);
+  EXPECT_EQ(resend[0].to, 2);
+  EXPECT_EQ(resend[0].batch.cmd_ids.size(), 2u);
+  // The unreachable server is suspect: its hint is not followed until
+  // something completes.
+  ResponseBatch redirect;
+  redirect.leader_hint = 1;
+  client.OnResponse(Millis(3), 2, redirect);
+  EXPECT_EQ(client.Tick(Millis(4))[0].to, 2);
+}
+
+TEST(Client, DriverChosenIdsWithoutTopUp) {
+  ClientParams p = Params(0);
+  Client client(p);
+  EXPECT_TRUE(client.Tick(0).empty());
+  client.Propose(Millis(1), 42);
+  client.Propose(Millis(1), 42);  // already outstanding
+  const auto sends = client.Tick(Millis(1));
+  ASSERT_EQ(sends.size(), 1u);
+  EXPECT_EQ(sends[0].batch.cmd_ids, std::vector<uint64_t>{42});
+  EXPECT_TRUE(client.IsPending(42));
+  std::vector<Time> latencies;
+  client.set_latency_sink(&latencies);
+  ResponseBatch resp;
+  resp.cmd_ids = {42, 43};  // 43 was never proposed here
+  client.OnResponse(Millis(4), 1, resp);
+  EXPECT_FALSE(client.IsPending(42));
+  EXPECT_EQ(client.completed(), 1u);
+  EXPECT_EQ(client.stale_acks(), 1u);
+  EXPECT_EQ(latencies, std::vector<Time>{Millis(3)});
+}
+
+// An idle client's retry clock starts when work arrives, not at t=0: a first
+// command proposed late must not be treated as a long-stalled one.
+TEST(Client, FirstProposalLateDoesNotRotate) {
+  Client client(Params(0));
+  client.Propose(Seconds(10), 1);
+  EXPECT_EQ(client.Tick(Seconds(10))[0].to, 1);
+  EXPECT_TRUE(client.Tick(Seconds(10) + Millis(50)).empty());
+}
+
+TEST(Client, DriverReadCarriesTheHigherWatermark) {
+  Client client(Params(0));
+  const uint64_t id = client.Read(0, 7);
+  const auto sends = client.Tick(0);
+  ASSERT_EQ(sends.size(), 1u);
+  ASSERT_EQ(sends[0].reads.size(), 1u);
+  EXPECT_EQ(sends[0].reads[0].watermark, 7u);
+  rsm::ReadReply bounce;
+  bounce.read_id = id;
+  bounce.leader_hint = 2;
+  client.OnReadReply(Millis(1), 1, bounce);
+  EXPECT_EQ(client.reads_bounced(), 1u);
+  const auto resend = client.Tick(Millis(2));
+  ASSERT_EQ(resend.size(), 1u);
+  EXPECT_EQ(resend[0].to, 2);
+  ASSERT_EQ(resend[0].reads.size(), 1u);
+  EXPECT_EQ(resend[0].reads[0].watermark, 7u);
+  rsm::ReadReply served = bounce;
+  served.served = true;
+  served.decided_idx = 9;
+  client.OnReadReply(Millis(3), 2, served);
+  EXPECT_FALSE(client.IsReadPending(id));
+  EXPECT_EQ(client.read_watermark(), 9u);
+  client.Read(Millis(4), 3);  // below what the client has already seen
+  EXPECT_EQ(client.Tick(Millis(4))[0].reads[0].watermark, 9u);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/net/client_wire.h"
 #include "src/net/epoll_loop.h"
 #include "src/net/frame_queue.h"
 #include "src/net/omni_client.h"
@@ -557,6 +558,111 @@ TEST(TcpManyClients, SixtyFourConcurrentConnectionsReplicate) {
     slot.stop.store(true);
     slot.thread.join();
   }
+}
+
+// --- Client frames: one layout, strict decoders ----------------------------
+
+template <typename Decode>
+void ExpectEveryTruncationRejected(const std::vector<uint8_t>& frame, Decode decode) {
+  for (size_t len = 0; len < frame.size(); ++len) {
+    EXPECT_FALSE(decode(frame.data(), len)) << "length " << len << " of " << frame.size();
+  }
+}
+
+// Every frame type survives encode -> decode with its documented size (the
+// bytes on the wire), and its decoder rejects every truncated length.
+TEST(ClientWire, RoundTripRejectsEveryTruncatedLength) {
+  namespace wire = net::client_wire;
+  std::vector<uint8_t> f;
+
+  uint8_t kind = 0;
+  NodeId peer = kNoNode;
+  auto decode_hello = [&](const uint8_t* d, size_t n) {
+    return wire::DecodeHello(d, n, &kind, &peer);
+  };
+  wire::EncodeHello(net::kHelloPeer, 7, &f);
+  ASSERT_EQ(f.size(), 5u);
+  ASSERT_TRUE(decode_hello(f.data(), f.size()));
+  EXPECT_EQ(kind, net::kHelloPeer);
+  EXPECT_EQ(peer, 7);
+  ExpectEveryTruncationRejected(f, decode_hello);
+  f.clear();
+  wire::EncodeHello(net::kHelloClient, kNoNode, &f);
+  ASSERT_EQ(f, std::vector<uint8_t>{net::kHelloClient});
+  ASSERT_TRUE(decode_hello(f.data(), f.size()));
+  EXPECT_EQ(kind, net::kHelloClient);
+  ExpectEveryTruncationRejected(f, decode_hello);
+
+  f.clear();
+  wire::EncodeAppend(0x1122334455667788ULL, 64, &f);
+  ASSERT_EQ(f.size(), 13u);
+  EXPECT_EQ(f[0], 0x01);
+  EXPECT_EQ(f[1], 0x88);  // little-endian
+  uint64_t cmd_id = 0;
+  uint32_t payload_bytes = 0;
+  auto decode_append = [&](const uint8_t* d, size_t n) {
+    return wire::DecodeAppend(d, n, &cmd_id, &payload_bytes);
+  };
+  ASSERT_TRUE(decode_append(f.data(), f.size()));
+  EXPECT_EQ(cmd_id, 0x1122334455667788ULL);
+  EXPECT_EQ(payload_bytes, 64u);
+  ExpectEveryTruncationRejected(f, decode_append);
+
+  f.clear();
+  const std::vector<uint64_t> ids{1, 2, 0xFFFFFFFFFFULL};
+  wire::EncodeDecided(ids, &f);
+  ASSERT_EQ(f.size(), 5u + 8 * ids.size());
+  std::vector<uint64_t> got;
+  ASSERT_TRUE(wire::DecodeDecided(f.data(), f.size(), &got));
+  EXPECT_EQ(got, ids);
+  ExpectEveryTruncationRejected(f, [&](const uint8_t* d, size_t n) { return wire::DecodeDecided(d, n, &got); });
+
+  f.clear();
+  wire::EncodeStatusRequest(&f);
+  ASSERT_EQ(f, std::vector<uint8_t>{0x03});
+  EXPECT_EQ(wire::OpOf(f.data(), 0), 0);
+
+  f.clear();
+  wire::EncodeStatus({3, 100, 120, true, 50}, &f);
+  ASSERT_EQ(f.size(), 30u);
+  wire::Status status;
+  ASSERT_TRUE(wire::DecodeStatus(f.data(), f.size(), &status));
+  EXPECT_EQ(status.leader, 3);
+  EXPECT_EQ(status.decided, 100u);
+  EXPECT_EQ(status.log_len, 120u);
+  EXPECT_TRUE(status.is_leader);
+  EXPECT_EQ(status.compacted, 50u);
+  ExpectEveryTruncationRejected(f, [&](const uint8_t* d, size_t n) { return wire::DecodeStatus(d, n, &status); });
+
+  f.clear();
+  wire::EncodeRedirect(2, &f);
+  ASSERT_EQ(f.size(), 5u);
+  NodeId leader = kNoNode;
+  ASSERT_TRUE(wire::DecodeRedirect(f.data(), f.size(), &leader));
+  EXPECT_EQ(leader, 2);
+  ExpectEveryTruncationRejected(f, [&](const uint8_t* d, size_t n) { return wire::DecodeRedirect(d, n, &leader); });
+
+  f.clear();
+  wire::EncodeRead({9, 77}, &f);
+  ASSERT_EQ(f.size(), 17u);
+  rsm::ReadRequest read;
+  ASSERT_TRUE(wire::DecodeRead(f.data(), f.size(), &read));
+  EXPECT_EQ(read.read_id, 9u);
+  EXPECT_EQ(read.watermark, 77u);
+  ExpectEveryTruncationRejected(f, [&](const uint8_t* d, size_t n) { return wire::DecodeRead(d, n, &read); });
+  // A decoder refuses another frame type's bytes.
+  EXPECT_FALSE(decode_append(f.data(), f.size()));
+
+  f.clear();
+  wire::EncodeReadReply({9, 80, true, 3}, &f);
+  ASSERT_EQ(f.size(), 22u);
+  rsm::ReadReply reply;
+  ASSERT_TRUE(wire::DecodeReadReply(f.data(), f.size(), &reply));
+  EXPECT_EQ(reply.read_id, 9u);
+  EXPECT_EQ(reply.decided_idx, 80u);
+  EXPECT_TRUE(reply.served);
+  EXPECT_EQ(reply.leader_hint, 3);
+  ExpectEveryTruncationRejected(f, [&](const uint8_t* d, size_t n) { return wire::DecodeReadReply(d, n, &reply); });
 }
 
 // --- Client hardening against a hostile frame header ----------------------

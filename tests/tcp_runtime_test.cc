@@ -1,18 +1,26 @@
 // Integration tests for the real TCP runtime: three OmniTcpServer instances
 // on localhost sockets (each on its own thread), driven by OmniClient —
-// replication, leader redirect, crash + WAL recovery, all over actual TCP.
+// replication, leader redirect, failover, lease reads, crash + WAL recovery,
+// all over actual TCP.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "src/net/client_wire.h"
+#include "src/net/frame_queue.h"
 #include "src/net/omni_client.h"
 #include "src/net/omni_tcp_server.h"
 #include "tests/loopback_ports.h"
@@ -151,6 +159,81 @@ NodeId AwaitLeader(const std::map<NodeId, Endpoint>& endpoints) {
   return kNoNode;
 }
 
+// One raw client connection speaking client_wire frames, for asserting on a
+// server's exact reply. Blocking, with a 5 s receive timeout.
+class RawClient {
+ public:
+  explicit RawClient(const Endpoint& endpoint) {
+    fd_ = socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(endpoint.port);
+    inet_pton(AF_INET, endpoint.host.c_str(), &addr.sin_addr);
+    connected_ = connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
+    timeval timeout{5, 0};
+    setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    Send([](std::vector<uint8_t>* out) {
+      net::client_wire::EncodeHello(net::kHelloClient, kNoNode, out);
+    });
+  }
+  ~RawClient() { close(fd_); }
+
+  bool connected() const { return connected_; }
+
+  template <typename Encode>
+  void Send(Encode&& encode) {
+    std::vector<uint8_t> frame;
+    frame.reserve(64);
+    frame.resize(4);  // length header, patched below
+    encode(&frame);
+    net::PatchFrameLength(&frame, 0);
+    connected_ = connected_ && write(fd_, frame.data(), frame.size()) ==
+                                   static_cast<ssize_t>(frame.size());
+  }
+
+  // The next frame's payload; empty on timeout or close.
+  std::vector<uint8_t> Next() {
+    while (frames_.empty()) {
+      uint8_t chunk[4096];
+      const ssize_t n = read(fd_, chunk, sizeof(chunk));
+      if (n <= 0) {
+        return {};
+      }
+      reader_.Feed(chunk, static_cast<size_t>(n), [this](const uint8_t* data, size_t len) {
+        frames_.emplace_back(data, data + len);
+        return true;
+      });
+    }
+    std::vector<uint8_t> frame = std::move(frames_.front());
+    frames_.pop_front();
+    return frame;
+  }
+
+  rsm::ReadReply LeaseRead(uint64_t read_id, uint64_t watermark) {
+    Send([&](std::vector<uint8_t>* out) { net::client_wire::EncodeRead({read_id, watermark}, out); });
+    const std::vector<uint8_t> frame = Next();
+    rsm::ReadReply reply;
+    EXPECT_TRUE(net::client_wire::DecodeReadReply(frame.data(), frame.size(), &reply));
+    EXPECT_EQ(reply.read_id, read_id);
+    return reply;
+  }
+
+ private:
+  int fd_ = -1;
+  bool connected_ = false;
+  net::FrameReader reader_;
+  std::deque<std::vector<uint8_t>> frames_;
+};
+
+NodeId SomeFollower(const std::map<NodeId, Endpoint>& endpoints, NodeId leader) {
+  for (const auto& [id, endpoint] : endpoints) {
+    if (id != leader) {
+      return id;
+    }
+  }
+  return kNoNode;
+}
+
 TEST(TcpRuntime, ReplicatesCommandsEndToEnd) {
   TcpCluster cluster;
   OmniClient client(cluster.endpoints());
@@ -190,6 +273,22 @@ TEST(TcpRuntime, FollowerRedirectsToLeader) {
   OmniClient client(all);
   ASSERT_TRUE(client.Connect(Seconds(5)));
   EXPECT_TRUE(client.AppendAndWait(777, 8, Seconds(10)));
+
+  // OmniClient starts at the lowest id, usually the leader (node 1 has BLE
+  // priority), so drive a session whose rotation starts at the follower.
+  net::EpollLoop loop;
+  rsm::ClientParams params;
+  params.servers = {follower, status.leader};
+  params.concurrent_proposals = 0;
+  net::ClientSession session(&loop, all, params);
+  session.client().Propose(session.Now(), 778);
+  for (const Time until = session.Now() + Seconds(10);
+       session.client().IsPending(778) && session.Now() < until;) {
+    session.Advance();
+    loop.Wait(10);
+  }
+  EXPECT_FALSE(session.client().IsPending(778));
+  EXPECT_EQ(session.server(), status.leader);
 }
 
 TEST(TcpRuntime, SurvivesServerCrashAndWalRecovery) {
@@ -274,6 +373,163 @@ TEST(TcpRuntime, DecidedIdsGoOnlyToTheirProposer) {
   EXPECT_TRUE(c.AppendAndWait(5000, 8, Seconds(10)));
   ASSERT_TRUE(c.GetStatus(&status, Seconds(5)));
   EXPECT_EQ(c.decided_count(), 1u);
+}
+
+// Failover: the leader's thread stops while the client is mid-sequence. The
+// client sees its connection drop, finds the old leader unreachable, rotates
+// and re-proposes on the new connection; every later command is decided.
+TEST(TcpRuntime, ClientKeepsDecidingAfterLeaderStops) {
+  TcpCluster cluster;
+  OmniClient client(cluster.endpoints());
+  for (uint64_t cmd = 1; cmd <= 10; ++cmd) {
+    ASSERT_TRUE(client.AppendAndWait(cmd, 8, Seconds(10))) << "cmd " << cmd;
+  }
+  const NodeId leader = client.connected_to();  // decided acks come from the leader
+  ASSERT_NE(leader, kNoNode);
+
+  // Appends keep flowing while another thread stops the leader, and the
+  // sequence runs until 20 more commands are decided after the stop has
+  // completed, so some of them are certainly in flight or issued after it.
+  std::atomic<uint64_t> done{10};
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    while (done.load() < 20) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    cluster.StopServer(leader);
+    stopped.store(true);
+  });
+  uint64_t cmd = 11;
+  for (int after_stop = 0; after_stop < 20; ++cmd) {
+    if (!client.AppendAndWait(cmd, 8, Seconds(10))) {
+      ADD_FAILURE() << "cmd " << cmd << " not decided after the leader stopped";
+      done.store(UINT64_MAX);
+      break;
+    }
+    done.store(cmd);
+    after_stop += stopped.load() ? 1 : 0;
+  }
+  stopper.join();
+  EXPECT_EQ(client.decided_count(), cmd - 1);
+  EXPECT_NE(client.connected_to(), leader);
+  EXPECT_NE(client.connected_to(), kNoNode);
+}
+
+TEST(TcpRuntime, LeaseReadIsServedAtTheLeaderAtItsWatermark) {
+  TcpCluster cluster;
+  OmniClient client(cluster.endpoints());
+  for (uint64_t cmd = 1; cmd <= 10; ++cmd) {
+    ASSERT_TRUE(client.AppendAndWait(cmd, 8, Seconds(10))) << "cmd " << cmd;
+  }
+  OmniClient::Status status;
+  ASSERT_TRUE(client.GetStatus(&status, Seconds(5)));
+  ASSERT_GE(status.decided, 10u);
+  uint64_t decided = 0;
+  ASSERT_TRUE(client.LeaseRead(status.decided, &decided, Seconds(10)));
+  EXPECT_GE(decided, status.decided);
+  ASSERT_TRUE(client.GetStatus(&status, Seconds(5)));
+  EXPECT_TRUE(status.is_leader) << "served by s" << client.connected_to();
+}
+
+TEST(TcpRuntime, LeaseReadAtAFollowerBouncesWithTheLeaderHint) {
+  TcpCluster cluster;
+  OmniClient writer(cluster.endpoints());
+  ASSERT_TRUE(writer.AppendAndWait(1, 8, Seconds(10)));
+  const NodeId leader = writer.connected_to();
+  const NodeId follower = SomeFollower(cluster.endpoints(), leader);
+  ASSERT_NE(leader, kNoNode);
+
+  RawClient raw(cluster.endpoints().at(follower));
+  ASSERT_TRUE(raw.connected());
+  rsm::ReadReply reply;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (uint64_t id = 1; std::chrono::steady_clock::now() < deadline; ++id) {
+    reply = raw.LeaseRead(id, 0);
+    if (reply.leader_hint == leader) {
+      break;  // the follower has learned who leads
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_FALSE(reply.served);
+  EXPECT_EQ(reply.leader_hint, leader);
+
+  // A client that can reach only the follower is bounced, never served.
+  OmniClient follower_only(std::map<NodeId, Endpoint>{{follower, cluster.endpoints().at(follower)}});
+  EXPECT_FALSE(follower_only.LeaseRead(0, nullptr, Millis(300)));
+  EXPECT_GT(follower_only.read_bounces(), 0u);
+}
+
+TEST(TcpRuntime, LeaseReadAboveTheDecidedIndexIsBouncedNotServed) {
+  TcpCluster cluster;
+  OmniClient writer(cluster.endpoints());
+  ASSERT_TRUE(writer.AppendAndWait(1, 8, Seconds(10)));
+  const NodeId leader = writer.connected_to();
+  ASSERT_NE(leader, kNoNode);
+  OmniClient::Status status;
+  ASSERT_TRUE(writer.GetStatus(&status, Seconds(5)));
+  const uint64_t watermark = status.decided + 1'000'000;
+
+  RawClient raw(cluster.endpoints().at(leader));
+  ASSERT_TRUE(raw.connected());
+  const rsm::ReadReply reply = raw.LeaseRead(1, watermark);
+  EXPECT_FALSE(reply.served);
+  EXPECT_LT(reply.decided_idx, watermark);
+  EXPECT_EQ(reply.leader_hint, leader);
+
+  OmniClient at_leader(std::map<NodeId, Endpoint>{{leader, cluster.endpoints().at(leader)}});
+  EXPECT_FALSE(at_leader.LeaseRead(watermark, nullptr, Millis(300)));
+  EXPECT_GT(at_leader.read_bounces(), 0u);
+}
+
+// --- Endpoint lists (--peers, --servers) -------------------------------------
+
+TEST(TcpEndpoints, ParsesAList) {
+  std::map<NodeId, Endpoint> eps;
+  std::string error;
+  ASSERT_TRUE(net::ParseEndpoints("2=127.0.0.1:7002,9=10.0.0.9:65535", &eps, &error)) << error;
+  ASSERT_EQ(eps.size(), 2u);
+  EXPECT_EQ(eps.at(2).host, "127.0.0.1");
+  EXPECT_EQ(eps.at(2).port, 7002);
+  EXPECT_EQ(eps.at(9).host, "10.0.0.9");
+  EXPECT_EQ(eps.at(9).port, 65535);
+}
+
+bool Rejects(const std::string& spec) {
+  std::map<NodeId, Endpoint> eps;
+  std::string error;
+  const bool ok = net::ParseEndpoints(spec, &eps, &error);
+  EXPECT_FALSE(ok) << spec;
+  EXPECT_FALSE(error.empty()) << spec;
+  return !ok;
+}
+
+TEST(TcpEndpoints, RejectsNonNumericValues) {
+  EXPECT_TRUE(Rejects("1=127.0.0.1:abc"));
+  EXPECT_TRUE(Rejects("x=127.0.0.1:7001"));
+  EXPECT_TRUE(Rejects("1=127.0.0.1:70a1"));
+  EXPECT_TRUE(Rejects("-1=127.0.0.1:7001"));
+  EXPECT_TRUE(Rejects("1=127.0.0.1:"));
+}
+
+TEST(TcpEndpoints, RejectsPortZeroOrAbove65535) {
+  EXPECT_TRUE(Rejects("1=127.0.0.1:0"));
+  EXPECT_TRUE(Rejects("2=127.0.0.1:99999"));
+  EXPECT_TRUE(Rejects("2=127.0.0.1:65536"));
+  EXPECT_TRUE(Rejects("2=127.0.0.1:99999999999999999999"));
+}
+
+TEST(TcpEndpoints, RejectsIdZero) { EXPECT_TRUE(Rejects("0=127.0.0.1:7001")); }
+
+TEST(TcpEndpoints, RejectsDuplicateIds) {
+  EXPECT_TRUE(Rejects("1=127.0.0.1:7001,1=127.0.0.1:7002"));
+}
+
+TEST(TcpEndpoints, RejectsEmptyItems) {
+  EXPECT_TRUE(Rejects(""));
+  EXPECT_TRUE(Rejects("1=127.0.0.1:7001,"));
+  EXPECT_TRUE(Rejects(",1=127.0.0.1:7001"));
+  EXPECT_TRUE(Rejects("1=127.0.0.1:7001,,2=127.0.0.1:7002"));
+  EXPECT_TRUE(Rejects("1=:7001"));
 }
 
 TEST(TcpRuntime, StartCreatesMissingWalParents) {

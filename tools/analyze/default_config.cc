@@ -157,6 +157,10 @@ AnalyzerConfig DefaultConfig(const std::string& root) {
   // Deterministic code (simulator callbacks) may never issue blocking
   // syscalls; in the real-I/O layer, everything reachable from the event-loop
   // entry points must stay non-blocking (poll-readiness model, ROADMAP 4).
+  // Only unqualified calls are followed, so the client side lists its loops
+  // (OmniClient::RunUntil, whose only wait is the loop's own; loadgen's
+  // RunLoad) and the session's pass and readiness handler, which those loops
+  // reach through a member.
   cfg.blocking.det_dirs = cfg.determinism.dirs;
   cfg.blocking.event_dirs = {"src/net", "bench"};
   cfg.blocking.entries = {
@@ -167,7 +171,10 @@ AnalyzerConfig DefaultConfig(const std::string& root) {
       {"src/net/omni_tcp_server.cc", "Run"},
       {"src/net/omni_tcp_server.cc", "OnPeerMessage"},
       {"src/net/omni_tcp_server.cc", "OnClientFrame"},
-      {"bench/loadgen.cc", "DriveLoad"},
+      {"src/net/omni_client.cc", "RunUntil"},
+      {"src/net/omni_client.cc", "Advance"},
+      {"src/net/omni_client.cc", "OnIo"},
+      {"bench/loadgen.cc", "RunLoad"},
   };
 
   // --- opx-span-escape ----------------------------------------------------
@@ -177,8 +184,9 @@ AnalyzerConfig DefaultConfig(const std::string& root) {
   cfg.span_escape.dirs = {"src", "tests", "bench"};
 
   // --- opx-wire-taint -----------------------------------------------------
-  // Everything that decodes untrusted bytes: GetU32/GetU64 (client + WAL
-  // recovery), the codec Decoder methods (U8/U32/U64/GetEntry/GetBallot).
+  // Everything that decodes untrusted bytes: GetU32/GetU64 (WAL recovery),
+  // the codec Decoder methods (U8/U32/U64/GetEntry/GetBallot) that the
+  // client frames (src/net/client_wire.h) decode through as well.
   // The sink list is the allocation/copy surface a hostile length header
   // reaches first.
   cfg.wire_taint.dirs = {"src", "tests", "bench"};

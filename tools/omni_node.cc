@@ -22,30 +22,6 @@ std::atomic<bool> g_stop{false};
 
 void OnSignal(int) { g_stop.store(true); }
 
-// Parses "2=127.0.0.1:7002,3=127.0.0.1:7003".
-bool ParsePeers(const std::string& spec, std::map<opx::NodeId, opx::net::Endpoint>* out) {
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = spec.size();
-    }
-    const std::string item = spec.substr(pos, comma - pos);
-    const size_t eq = item.find('=');
-    const size_t colon = item.rfind(':');
-    if (eq == std::string::npos || colon == std::string::npos || colon < eq) {
-      return false;
-    }
-    const opx::NodeId id = static_cast<opx::NodeId>(std::stoi(item.substr(0, eq)));
-    opx::net::Endpoint endpoint;
-    endpoint.host = item.substr(eq + 1, colon - eq - 1);
-    endpoint.port = static_cast<uint16_t>(std::stoi(item.substr(colon + 1)));
-    (*out)[id] = endpoint;
-    pos = comma + 1;
-  }
-  return !out->empty();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -79,8 +55,13 @@ int main(int argc, char** argv) {
   options.trim_watermark = static_cast<uint64_t>(flags.GetInt("trim-watermark", 0));
   options.batch_limit = static_cast<uint64_t>(flags.GetInt("batch-limit", 0));
   options.lease_rounds = static_cast<uint64_t>(flags.GetInt("lease-rounds", 1));
-  if (options.id == kNoNode || !ParsePeers(flags.GetString("peers", ""), &options.peers)) {
-    std::fprintf(stderr, "omni_node: --id and --peers are required (see --help)\n");
+  std::string error;
+  if (options.id == kNoNode) {
+    std::fprintf(stderr, "omni_node: --id is required (see --help)\n");
+    return 2;
+  }
+  if (!net::ParseEndpoints(flags.GetString("peers", ""), &options.peers, &error)) {
+    std::fprintf(stderr, "omni_node: --peers: %s (see --help)\n", error.c_str());
     return 2;
   }
 

@@ -25,7 +25,7 @@
 #        tools/run_checks.sh --coverage [build-dir]
 #
 # --static is the fast pre-commit path: build only the opx_analyze target
-# (plain build, default dir: build-static) and run the ten static checks
+# (plain build, default dir: build-static) and run the thirteen static checks
 # over src/, tests/, and bench/ — a few seconds warm, well under ten cold.
 #
 # --tsan builds the test suite with ThreadSanitizer (default dir: build-tsan)
@@ -44,9 +44,11 @@
 #
 # --compaction-smoke exercises the full production log pipeline (DESIGN.md
 # §15) end to end on a loopback cluster: request batching, leader-lease reads
-# at --read-fraction=0.5, and auto-trim at --trim-watermark=512. loadgen's own
-# exit code enforces the contract — served reads never dip below their
-# read-your-writes watermark and the leader's log actually compacted.
+# at --read-fraction=0.5, and auto-trim at --trim-watermark=512. It is the
+# only gate that drives lease reads and auto-trim over TCP through the shared
+# client (rsm::Client behind net::ClientSession). loadgen's own exit code
+# enforces the contract — served reads never dip below their watermark, no
+# id is acked off its connection or twice, and the leader's log compacted.
 #
 # --wal-smoke gates the durability layer (DESIGN.md §17): the WAL + durable
 # storage test tiers under ASan+UBSan — including the crash-point matrix that
