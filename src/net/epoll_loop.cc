@@ -40,7 +40,7 @@ bool EpollLoop::Add(int fd, IoHandler handler) {
   }
   const uint64_t gen = next_gen_++ & 0xFFFFFFFFu;  // matches the 32-bit tag field
   epoll_event ev{};
-  ev.events = EPOLLIN | EPOLLOUT | EPOLLET;
+  ev.events = EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET;
   ev.data.u64 = PackTag(fd, gen);
   if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
     return false;
@@ -154,6 +154,9 @@ int EpollLoop::Wait(int timeout_ms) {
     }
     if ((events[i].events & EPOLLOUT) != 0) {
       bits |= kWritable;
+    }
+    if ((events[i].events & EPOLLRDHUP) != 0) {
+      bits |= kPeerClosed;
     }
     if (bits != 0) {
       ++dispatched;

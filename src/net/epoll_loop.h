@@ -6,8 +6,10 @@
 // (EPOLL_CTL_ADD) with a handler, and every Wait() is a single epoll_wait
 // plus direct dispatch — O(ready), not O(watched).
 //
-// Readiness is edge-style (EPOLLET): a handler must drain its fd to EAGAIN,
-// because the kernel only reports the *transition* to readable/writable.
+// Readiness is edge-style (EPOLLET): a handler must drain its fd, because
+// the kernel only reports the *transition* to readable/writable. A read
+// short of its buffer is a drained socket as surely as EAGAIN is (epoll(7)),
+// provided a FIN in the same edge (kPeerClosed) still gets its read.
 // Handlers that stop early resume on the next edge — the send-queue resume
 // offset in FrameQueue exists exactly for this.
 //
@@ -36,10 +38,14 @@ namespace opx::net {
 
 class EpollLoop {
  public:
-  // Bits passed to handlers (subset of epoll's EPOLLIN/OUT/ERR/HUP).
+  // Bits passed to handlers (subset of epoll's EPOLLIN/OUT/ERR/HUP/RDHUP).
   static constexpr uint32_t kReadable = 1u << 0;
   static constexpr uint32_t kWritable = 1u << 1;
   static constexpr uint32_t kError = 1u << 2;  // EPOLLERR | EPOLLHUP
+  // EPOLLRDHUP: the peer's FIN has arrived. It comes with kReadable, so a
+  // handler that reads to EAGAIN can ignore it; one that stops at a short
+  // read must read on to the 0 when it is set.
+  static constexpr uint32_t kPeerClosed = 1u << 3;
 
   using IoHandler = util::UniqueFunction<void(uint32_t events), 48>;
   using TimerHandler = util::UniqueFunction<void(), 48>;
@@ -53,8 +59,9 @@ class EpollLoop {
   // False when the epoll fd could not be created.
   bool ok() const { return epoll_fd_ >= 0; }
 
-  // Registers `fd` edge-triggered for both read and write readiness. The fd
-  // must already be O_NONBLOCK. Returns false if the kernel rejects it.
+  // Registers `fd` edge-triggered for read and write readiness and for the
+  // peer's FIN. The fd must already be O_NONBLOCK. Returns false if the
+  // kernel rejects it.
   bool Add(int fd, IoHandler handler);
 
   // Unregisters `fd` (the caller still owns and closes it). Safe to call

@@ -27,6 +27,9 @@ constexpr size_t kMaxIov = 64;
 constexpr Time kRedialBackoff = Millis(10);
 // Longest loop wait in a blocking call: the client's timer resolution.
 constexpr int kIdleWaitMs = 10;
+// Shortest spacing of the ticks that answer a redirect or a bounced read:
+// ClusterSim's 1 ms client tick.
+constexpr Time kResendPace = Millis(1);
 
 }  // namespace
 
@@ -41,9 +44,10 @@ Time ClientSession::Now() const { return MonotonicNow() - epoch_; }
 
 void ClientSession::Advance() {
   const Time now = Now();
-  if (fd_ < 0 && now < redial_at_) {
-    return;  // the client keeps its work until the redial
+  if ((fd_ < 0 && now < redial_at_) || now < resend_at_) {
+    return;  // the client keeps its work until the redial or the paced tick
   }
+  last_tick_ = now;
   for (const rsm::Client::Send& send : client_.Tick(now)) {
     if ((fd_ < 0 || send.to != server_) && !Dial(send.to)) {
       Unreachable(send.to);  // the client re-sends to its next target
@@ -199,11 +203,15 @@ void ClientSession::HandleFrame(Time now, const uint8_t* data, size_t len) {
       response_.cmd_ids.clear();
       if (wire::DecodeRedirect(data, len, &response_.leader_hint)) {
         client_.OnResponse(now, server_, response_);
+        resend_at_ = last_tick_ + kResendPace;
       }
       break;
     case wire::kReadReply:
       if (wire::DecodeReadReply(data, len, &reply)) {
         client_.OnReadReply(now, server_, reply);
+        if (!reply.served) {
+          resend_at_ = last_tick_ + kResendPace;
+        }
       }
       break;
     case wire::kStatus:
@@ -264,8 +272,10 @@ bool OmniClient::RunUntil(Done done, Time deadline) {
       return true;
     }
     const Time left = until - session_.Now();
-    // Wakes on the first frame; the cap keeps the client's timers ticking.
-    const Time wait_ms = std::min<Time>((left + 999'999) / 1'000'000, kIdleWaitMs);
+    // Wakes on the first frame; the cap keeps the client's timers (and a
+    // paced re-send) ticking.
+    const Time cap = session_.resend_at() > session_.Now() ? 1 : kIdleWaitMs;
+    const Time wait_ms = std::min<Time>((left + 999'999) / 1'000'000, cap);
     if (left <= 0 || loop_.Wait(static_cast<int>(wait_ms)) < 0) {
       return false;
     }

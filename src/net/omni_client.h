@@ -37,6 +37,10 @@ class ClientSession {
   ClientSession& operator=(const ClientSession&) = delete;
 
   // Ticks the client and writes what it returns, dialling its target first.
+  // After a redirect or a bounced read the next tick waits for the 1 ms
+  // cadence of the previous one (kResendPace): a follower that keeps naming
+  // a dead leader is re-proposed to at most once per millisecond, as in
+  // ClusterSim, not once per round trip.
   void Advance();
   // Dials the client's target unless a socket is open or a redial is pending.
   void Connect();
@@ -50,6 +54,8 @@ class ClientSession {
   rsm::Client& client() { return client_; }
   const rsm::Client& client() const { return client_; }
   bool established() const { return fd_ >= 0 && !connecting_; }
+  // A redirect or bounced read holds the next tick back until this time.
+  Time resend_at() const { return resend_at_; }
   NodeId server() const { return fd_ >= 0 ? server_ : kNoNode; }
   uint64_t reconnects() const { return dials_ == 0 ? 0 : dials_ - 1; }
   // A status request is out and its connection still open.
@@ -74,6 +80,8 @@ class ClientSession {
   NodeId server_ = kNoNode;  // server behind fd_
   bool connecting_ = false;  // nonblocking connect() in flight
   Time redial_at_ = 0;       // backoff after a server refused
+  Time last_tick_ = 0;       // when Advance last ticked the client
+  Time resend_at_ = 0;       // pacing after a redirect or bounced read
   uint64_t dials_ = 0;
   bool status_pending_ = false;
   bool status_ready_ = false;

@@ -88,6 +88,7 @@ bool OmniTcpServer::Start() {
     transport_->WireObs(&options_.obs->metrics());
 #if defined(OPX_OBS_ENABLED)
     lease_reads_ctr_ = options_.obs->metrics().GetCounter("srv/lease_reads");
+    appends_ctr_ = options_.obs->metrics().GetCounter("srv/client_appends");
 #endif
   }
   if (!transport_->Start()) {
@@ -136,6 +137,11 @@ void OmniTcpServer::OnClientFrame(uint64_t client, const uint8_t* data, size_t l
       if (!wire::DecodeAppend(data, len, &cmd_id, &payload_bytes)) {
         return;
       }
+#if defined(OPX_OBS_ENABLED)
+      if (appends_ctr_ != nullptr) {
+        appends_ctr_->Inc();
+      }
+#endif
       if (node_->IsLeader()) {
         // No Pump here: appends admitted during this epoll pass flush
         // together in StepOnce's post-Poll Pump — request batching turns an

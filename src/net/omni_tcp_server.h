@@ -111,6 +111,7 @@ class OmniTcpServer {
   std::string start_error_;
 #if defined(OPX_OBS_ENABLED)
   obs::Counter* lease_reads_ctr_ = nullptr;
+  obs::Counter* appends_ctr_ = nullptr;  // client append frames, admitted or redirected
 #endif
 };
 

@@ -78,19 +78,18 @@ bool ParseEndpoints(const std::string& spec, std::map<NodeId, Endpoint>* out,
   }
 }
 
-// One TCP connection (inbound or outbound). Outbound frames live in a
-// FrameQueue of refcounted encoded buffers (shared across peers for
-// broadcasts); inbound bytes stream through a FrameReader.
+// One TCP connection: a peer session (dialled, or adopted from a hello) or a
+// client. Outgoing frames live in a FrameQueue of refcounted encoded buffers
+// (shared across peers for broadcasts); incoming bytes stream through a
+// FrameReader.
 struct TcpTransport::Connection {
   int fd = -1;
-  bool outbound = false;
-  bool connecting = false;  // outbound connect() in progress
-  bool hello_sent = false;
+  bool connecting = false;  // dialled, connect() in progress
   bool closed = false;
   bool dirty = false;  // queued frames since the last Flush()
 
-  // Identity learned from the hello frame (inbound) or configuration
-  // (outbound). kNoNode until known; client connections use client_id.
+  // The peer this session belongs to: set when dialling, or from the hello
+  // on an accepted socket. kNoNode until known; clients use client_id.
   NodeId peer = kNoNode;
   bool is_client = false;
   uint64_t client_id = 0;
@@ -98,8 +97,7 @@ struct TcpTransport::Connection {
   FrameQueue sendq;
   FrameReader reader;
 
-  NodeId outbound_peer = kNoNode;  // which peer this outbound conn serves
-  Time retry_at = 0;               // for outbound reconnect backoff
+  Time retry_at = 0;  // dialled session: redial backoff after a close
 };
 
 TcpTransport::TcpTransport(NodeId self, uint16_t listen_port,
@@ -146,19 +144,18 @@ bool TcpTransport::Start() {
   if (getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
     listen_port_ = ntohs(addr.sin_port);
   }
-  // Outbound link maintenance lives on a timerfd inside the same epoll wait:
-  // dropped links retry with backoff, closed inbound connections get GC'd.
-  reconnect_timer_ = loop_.AddTimer(Millis(50), [this] { ReconnectSweep(); });
-  for (const auto& [peer, endpoint] : peers_) {
-    StartConnect(peer);
-  }
+  // Session maintenance lives on a timerfd inside the same epoll wait:
+  // dropped dialled sessions are redialled after a backoff, closed
+  // connections get GC'd. The first sweep dials every higher-id peer now.
+  sweep_timer_ = loop_.AddTimer(Millis(50), [this] { Sweep(); });
+  Sweep();
   return true;
 }
 
 void TcpTransport::Stop() {
-  if (reconnect_timer_ >= 0) {
-    loop_.CancelTimer(reconnect_timer_);
-    reconnect_timer_ = -1;
+  if (sweep_timer_ >= 0) {
+    loop_.CancelTimer(sweep_timer_);
+    sweep_timer_ = -1;
   }
   if (listen_fd_ >= 0) {
     loop_.Remove(listen_fd_);
@@ -173,12 +170,12 @@ void TcpTransport::Stop() {
     }
   }
   connections_.clear();
-  outbound_.clear();
+  sessions_.clear();
   dirty_.clear();
   last_sent_ = nullptr;
 }
 
-void TcpTransport::StartConnect(NodeId peer) {
+void TcpTransport::Dial(NodeId peer) {
   const Endpoint& endpoint = peers_.at(peer);
   const int fd = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) {
@@ -194,31 +191,57 @@ void TcpTransport::StartConnect(NodeId peer) {
   }
   // fd is O_NONBLOCK; EINPROGRESS parks completion on the EPOLLOUT edge.
   const int rc = connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));  // NOLINT(opx-blocking-in-loop)
+  const bool refused = rc != 0 && errno != EINPROGRESS;
   auto conn = std::make_unique<Connection>();
-  conn->fd = fd;
-  conn->outbound = true;
-  conn->outbound_peer = peer;
-  conn->peer = peer;
-  conn->connecting = rc != 0 && errno == EINPROGRESS;
-  if (rc != 0 && !conn->connecting) {
-    close(fd);
-    conn->fd = -1;
-    conn->closed = true;
-    conn->retry_at = MonotonicNow() + Millis(200);
-  }
   Connection* raw = conn.get();
-  if (raw->fd >= 0 && !loop_.Add(raw->fd, [this, raw](uint32_t bits) { OnIo(*raw, bits); })) {
-    close(raw->fd);
-    raw->fd = -1;
-    raw->closed = true;
-    raw->retry_at = MonotonicNow() + Millis(200);
-  }
+  raw->fd = fd;
+  raw->peer = peer;
+  raw->connecting = rc != 0;
   connections_.push_back(std::move(conn));
-  outbound_[peer] = raw;
-  if (raw->fd >= 0 && !raw->connecting) {
-    // Connected immediately (localhost): queue the hello.
-    HandleWritable(*raw);
+  sessions_[peer] = raw;  // a closed predecessor is GC'd by the sweep
+  if (refused ||
+      !loop_.Add(fd, [this, raw](uint32_t bits) { OnIo(*raw, bits); })) {
+    CloseConnection(*raw);  // refused: the close starts the backoff
+  } else if (rc == 0) {
+    SessionUp(*raw);  // connected immediately (localhost)
   }
+}
+
+// A hello from a lower-id peer on an accepted socket: that peer's session.
+void TcpTransport::Adopt(Connection& conn, NodeId peer) {
+  if (peer >= self_ || peers_.count(peer) == 0) {
+    CloseConnection(conn);  // only a lower-id peer dials; one session per pair
+    return;
+  }
+  if (Connection* stale = LiveSession(peer); stale != nullptr) {
+    CloseConnection(*stale);  // the peer redialled; its old session is gone
+  }
+  conn.peer = peer;
+  sessions_[peer] = &conn;
+  SessionUp(conn);
+}
+
+// A peer session starts: the dialer opens with its hello, and both ends
+// raise the reconnect cue.
+void TcpTransport::SessionUp(Connection& conn) {
+  if (conn.peer > self_) {
+    conn.sendq.Push(BuildFrame(&pool_, [this](std::vector<uint8_t>* out) {
+      client_wire::EncodeHello(kHelloPeer, self_, out);
+    }));
+    MarkDirty(conn);
+  }
+  if (met_.reconnects != nullptr) {
+    met_.reconnects->Inc();
+  }
+  if (on_reconnect_) {
+    on_reconnect_(conn.peer);
+  }
+}
+
+TcpTransport::Connection* TcpTransport::LiveSession(NodeId peer) {
+  auto it = sessions_.find(peer);
+  return it == sessions_.end() || it->second->closed || it->second->connecting ? nullptr
+                                                                                : it->second;
 }
 
 void TcpTransport::MarkDirty(Connection& conn) {
@@ -229,8 +252,8 @@ void TcpTransport::MarkDirty(Connection& conn) {
 }
 
 void TcpTransport::Send(NodeId to, const omni::OmniMessage& msg) {
-  auto it = outbound_.find(to);
-  if (it == outbound_.end() || it->second->closed || it->second->connecting) {
+  Connection* session = LiveSession(to);
+  if (session == nullptr) {
     // Link down: drop (protocols recover via resync). Clear the share memo —
     // a following SendRepeat must not replay an OLDER message's bytes.
     last_sent_ = nullptr;
@@ -239,20 +262,20 @@ void TcpTransport::Send(NodeId to, const omni::OmniMessage& msg) {
   FrameRef frame = pool_.Acquire();
   omni::EncodeFrame(msg, &frame->bytes);
   last_sent_ = frame;
-  it->second->sendq.Push(std::move(frame));
-  MarkDirty(*it->second);
+  session->sendq.Push(std::move(frame));
+  MarkDirty(*session);
 }
 
 bool TcpTransport::SendRepeat(NodeId to) {
   if (last_sent_ == nullptr) {
     return false;
   }
-  auto it = outbound_.find(to);
-  if (it == outbound_.end() || it->second->closed || it->second->connecting) {
+  Connection* session = LiveSession(to);
+  if (session == nullptr) {
     return true;  // link down: drop, same as Send
   }
-  it->second->sendq.Push(last_sent_);
-  MarkDirty(*it->second);
+  session->sendq.Push(last_sent_);
+  MarkDirty(*session);
   if (met_.frames_shared != nullptr) {
     met_.frames_shared->Inc();
   }
@@ -269,12 +292,6 @@ void TcpTransport::SendToClient(uint64_t client, const uint8_t* data, size_t len
       return;
     }
   }
-}
-
-bool TcpTransport::PeerConnected(NodeId peer) const {
-  auto it = outbound_.find(peer);
-  return it != outbound_.end() && !it->second->closed && !it->second->connecting &&
-         it->second->hello_sent;
 }
 
 void TcpTransport::Poll(int timeout_ms) {
@@ -356,8 +373,8 @@ void TcpTransport::OnIo(Connection& conn, uint32_t bits) {
     return;
   }
   if ((bits & EpollLoop::kError) != 0) {
-    // Covers failed outbound connects (EPOLLERR before writability) and peer
-    // resets; backoff (outbound) or GC (inbound) happens on the sweep.
+    // Covers failed dials (EPOLLERR before writability) and peer resets;
+    // the redial backoff (dialled session) or GC happens on the sweep.
     CloseConnection(conn);
     return;
   }
@@ -368,7 +385,7 @@ void TcpTransport::OnIo(Connection& conn, uint32_t bits) {
     }
   }
   if ((bits & EpollLoop::kReadable) != 0) {
-    HandleReadable(conn);
+    HandleReadable(conn, (bits & EpollLoop::kPeerClosed) != 0);
   }
 }
 
@@ -382,21 +399,7 @@ void TcpTransport::HandleWritable(Connection& conn) {
       return;
     }
     conn.connecting = false;
-  }
-  if (conn.outbound && !conn.hello_sent) {
-    conn.sendq.Push(BuildFrame(&pool_, [this](std::vector<uint8_t>* out) {
-      client_wire::EncodeHello(kHelloPeer, self_, out);
-    }));
-    MarkDirty(conn);
-    conn.hello_sent = true;
-    if (met_.reconnects != nullptr) {
-      met_.reconnects->Inc();
-    }
-    // A fresh outbound session to a peer we previously lost (or first
-    // contact): surface the reconnect cue.
-    if (on_reconnect_) {
-      on_reconnect_(conn.outbound_peer);
-    }
+    SessionUp(conn);
   }
   // Never write here: the next Flush() runs the persist-before-send hook
   // first. A resumed EAGAIN queue just rejoins the dirty list.
@@ -405,11 +408,10 @@ void TcpTransport::HandleWritable(Connection& conn) {
   }
 }
 
-void TcpTransport::HandleReadable(Connection& conn) {
+void TcpTransport::HandleReadable(Connection& conn, bool peer_closed) {
   uint8_t chunk[65536];
   for (;;) {
-    // conn.fd is O_NONBLOCK; EPOLLET requires draining to EAGAIN, and EAGAIN
-    // is exactly what this returns instead of waiting.
+    // conn.fd is O_NONBLOCK: read returns EAGAIN instead of waiting.
     const ssize_t n = read(conn.fd, chunk, sizeof(chunk));  // NOLINT(opx-blocking-in-loop)
     if (n > 0) {
       if (met_.bytes_in != nullptr) {
@@ -424,7 +426,11 @@ void TcpTransport::HandleReadable(Connection& conn) {
         CloseConnection(conn);
         return;
       }
-      if (conn.closed) {
+      // A short read drained the socket: under EPOLLET the next byte raises
+      // a new edge, so stop instead of paying for a read that returns
+      // EAGAIN. A FIN that came with this edge raises none, so then read on
+      // to the 0.
+      if (conn.closed || (static_cast<size_t>(n) < sizeof(chunk) && !peer_closed)) {
         return;
       }
       continue;
@@ -444,14 +450,14 @@ void TcpTransport::OnFrame(Connection& conn, const uint8_t* data, size_t len) {
   if (met_.frames_in != nullptr) {
     met_.frames_in->Inc();
   }
-  if (!conn.outbound && conn.peer == kNoNode && !conn.is_client) {
-    // Expect a hello frame.
+  if (conn.peer == kNoNode && !conn.is_client) {
+    // An accepted socket opens with a hello.
     uint8_t kind = 0;
     NodeId peer = kNoNode;
     if (!client_wire::DecodeHello(data, len, &kind, &peer)) {
       CloseConnection(conn);
     } else if (kind == kHelloPeer) {
-      conn.peer = peer;
+      Adopt(conn, peer);
     } else {
       conn.is_client = true;
       conn.client_id = static_cast<uint64_t>(next_client_id_++);
@@ -481,37 +487,39 @@ void TcpTransport::CloseConnection(Connection& conn) {
     conn.fd = -1;
   }
   conn.closed = true;
-  conn.hello_sent = false;
   conn.connecting = false;
   conn.sendq.Clear(&pool_);
   conn.reader.Clear();
-  conn.retry_at = MonotonicNow() + Millis(200);
+  if (conn.peer > self_) {
+    conn.retry_at = MonotonicNow() + Millis(200);  // stays in sessions_ as backoff
+  } else if (auto it = sessions_.find(conn.peer); it != sessions_.end() && it->second == &conn) {
+    sessions_.erase(it);  // adopted: the peer redials
+  }
   if (met_.conns_closed != nullptr) {
     met_.conns_closed->Inc();
   }
 }
 
-void TcpTransport::ReconnectSweep() {
+void TcpTransport::Sweep() {
+  // Only the lower id of a pair dials: redial higher-id peers whose session
+  // is missing or closed past its backoff.
   const Time now = MonotonicNow();
-  for (const auto& [peer, endpoint] : peers_) {
-    auto it = outbound_.find(peer);
-    if (it == outbound_.end() || (it->second->closed && now >= it->second->retry_at)) {
-      if (it != outbound_.end()) {
-        outbound_.erase(it);
-      }
-      StartConnect(peer);
+  for (auto it = peers_.upper_bound(self_); it != peers_.end(); ++it) {
+    const auto session = sessions_.find(it->first);
+    if (session == sessions_.end() || (session->second->closed && now >= session->second->retry_at)) {
+      Dial(it->first);
     }
   }
-  // Garbage-collect closed connections. Replaced outbound entries (no longer
-  // in outbound_) are dead too; current outbound placeholders stay as
-  // backoff state. Purge the dirty list first — it holds raw pointers.
+  // Garbage-collect closed connections, except dialled sessions still
+  // serving as backoff state. Purge the dirty list first — it holds raw
+  // pointers.
   std::erase_if(dirty_, [](Connection* c) { return c->closed; });
   std::erase_if(connections_, [this](const std::unique_ptr<Connection>& c) {
     if (!c->closed) {
       return false;
     }
-    auto it = outbound_.find(c->outbound_peer);
-    return !c->outbound || it == outbound_.end() || it->second != c.get();
+    const auto it = sessions_.find(c->peer);
+    return it == sessions_.end() || it->second != c.get();
   });
 }
 

@@ -1,11 +1,16 @@
 // Real TCP transport for running Omni-Paxos clusters as actual processes.
 //
-// Topology: every server listens on one port. For each peer, a server keeps
-// ONE outbound connection used exclusively for sending protocol messages to
-// that peer; inbound connections are receive-only and identified by a hello
-// frame. Outbound connections reconnect with backoff; a successful
-// (re-)connect after a drop raises the reconnect callback — the same cue the
-// paper derives from TCP session re-establishment (§4.1.3).
+// Topology: every server listens on one port, and each server pair shares
+// ONE TCP connection that carries both directions, so a reply rides the
+// socket its request came on (an Accepted carries the TCP ACK for its
+// AcceptDecide). The lower id dials the higher id and opens with a peer
+// hello; the higher id never dials, it adopts the accepted socket as that
+// peer's session when the hello arrives, and a newer hello from the same
+// peer replaces and closes the stale session. A session start at either end
+// raises the reconnect callback — the dialer's when connect() completes, the
+// acceptor's when the hello arrives — the cue the paper derives from TCP
+// session re-establishment (§4.1.3). A dropped session is redialled with
+// backoff by its dialer; its acceptor waits for the redial.
 //
 // Framing: [u32 length][payload]. The first frame on any connection is a
 // hello (client_wire.h): [u8 kind][u32 id] from a peer server, [u8 kind] from
@@ -13,15 +18,17 @@
 // client API frames (clients; interpreted by the server layer, not here).
 //
 // Hot path (DESIGN.md §14): readiness comes from an EpollLoop (registered
-// interest lists, edge-triggered, timerfd-driven reconnect sweep) instead of
-// a per-iteration pollfd rebuild. Sends are DEFERRED: Send/SendToClient only
-// enqueue an encoded, refcounted frame (encode-once for broadcasts — see
-// SendRepeat) onto the connection's FrameQueue. Flush() is the only code
-// that writes to a socket: the owner calls it once per event-loop pass,
-// after Poll() and its own protocol pump, and it drains every dirty queue
-// with one writev() per connection (more only past kMaxIov frames or after
-// a short write). Poll() only waits and dispatches; an EPOLLOUT edge just
-// re-marks its connection dirty for that Flush().
+// interest lists, edge-triggered, timerfd-driven redial sweep) instead of a
+// per-iteration pollfd rebuild. A read that comes back short of its buffer
+// drained the socket, so reading stops there; a FIN that came with the same
+// edge (EPOLLRDHUP) still gets the read that returns 0. Sends are DEFERRED:
+// Send/SendToClient only enqueue an encoded, refcounted frame (encode-once
+// for broadcasts — see SendRepeat) onto the connection's FrameQueue.
+// Flush() is the only code that writes to a socket: the owner calls it once
+// per event-loop pass, after Poll() and its own protocol pump, and it drains
+// every dirty queue with one writev() per connection (more only past kMaxIov
+// frames or after a short write). Poll() only waits and dispatches; an
+// EPOLLOUT edge just re-marks its connection dirty for that Flush().
 //
 // Single-threaded: the owner drives everything through Poll(); callbacks run
 // on the polling thread. No locks, no hidden threads.
@@ -81,8 +88,8 @@ class TcpTransport {
   void set_client_frame_handler(ClientFrameHandler h) { on_client_frame_ = std::move(h); }
   void set_flush_hook(FlushHook h) { flush_hook_ = std::move(h); }
 
-  // Binds + listens and initiates the first round of peer connects.
-  // Returns false if the listen socket cannot be created.
+  // Binds + listens and dials every higher-id peer. Returns false if the
+  // listen socket cannot be created.
   bool Start();
 
   // The port actually bound (useful with listen_port = 0).
@@ -106,7 +113,7 @@ class TcpTransport {
 
   // Waits up to timeout_ms (0 = non-blocking pass; also when frames are
   // already queued) and dispatches handlers inline. Writes nothing: call
-  // Flush() afterwards. Reconnect backoff runs off a timerfd inside the same
+  // Flush() afterwards. Redial backoff runs off a timerfd inside the same
   // wait.
   void Poll(int timeout_ms);
 
@@ -115,8 +122,6 @@ class TcpTransport {
   void Flush();
 
   void Stop();
-
-  bool PeerConnected(NodeId peer) const;
 
   // The readiness core, exposed so the owning server can hang its own
   // timerfds (election tick) on the same wait.
@@ -130,28 +135,33 @@ class TcpTransport {
   struct Connection;
 
   void AcceptNew();
-  void StartConnect(NodeId peer);
+  void Dial(NodeId peer);
+  void Adopt(Connection& conn, NodeId peer);
+  void SessionUp(Connection& conn);
+  Connection* LiveSession(NodeId peer);
   void OnIo(Connection& conn, uint32_t bits);
-  void HandleReadable(Connection& conn);
+  void HandleReadable(Connection& conn, bool peer_closed);
   void HandleWritable(Connection& conn);
   void CloseConnection(Connection& conn);
   void OnFrame(Connection& conn, const uint8_t* data, size_t len);
   void FlushConn(Connection& conn);
   void MarkDirty(Connection& conn);
-  void ReconnectSweep();
+  void Sweep();
 
   NodeId self_;
   uint16_t listen_port_;
   std::map<NodeId, Endpoint> peers_;
   int listen_fd_ = -1;
-  int reconnect_timer_ = -1;
+  int sweep_timer_ = -1;
 
   EpollLoop loop_;
   FramePool pool_;
   std::vector<std::unique_ptr<Connection>> connections_;
-  std::map<NodeId, Connection*> outbound_;  // per-peer send connection
-  std::vector<Connection*> dirty_;          // queues touched since last Flush
-  FrameRef last_sent_;                      // SendRepeat's share source
+  // The one session per peer, dialled or adopted. A closed dialled session
+  // stays as its redial backoff until the sweep replaces it.
+  std::map<NodeId, Connection*> sessions_;
+  std::vector<Connection*> dirty_;  // queues touched since last Flush
+  FrameRef last_sent_;              // SendRepeat's share source
   int64_t next_client_id_ = 1;
 
   obs::NetMetrics met_;  // null instruments until WireObs

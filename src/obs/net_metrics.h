@@ -26,7 +26,7 @@ struct NetMetrics {
   Counter* frames_out = nullptr;     // frames fully handed to the kernel
   Counter* frames_shared = nullptr;  // frames enqueued via an encode-once share
   Counter* writev_calls = nullptr;   // writev syscalls issued
-  Counter* reconnects = nullptr;     // outbound sessions (re-)established
+  Counter* reconnects = nullptr;     // peer sessions (re-)established, either end
   Counter* conns_accepted = nullptr; // inbound connections accepted
   Counter* conns_closed = nullptr;   // connections torn down (either side)
   // Frames per writev call — the batching payoff. Bounds 1..512, x2 spaced.

@@ -1,12 +1,14 @@
 // Unit + integration tests for the net hot path (DESIGN.md §14): framing
 // building blocks (FrameQueue/FrameReader partial-I/O resumption), the epoll
-// readiness core, and a 64-connection multiplexing run against a real
-// three-server loopback cluster. Suite names contain "Tcp" so the TSan smoke
+// readiness core, the one-session-per-pair topology of the transport, and a
+// 64-connection multiplexing run against a real three-server loopback
+// cluster. Suite names contain "Tcp" so the TSan smoke
 // filter (*Tcp*) picks them up.
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -15,9 +17,12 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/net/client_wire.h"
@@ -487,6 +492,200 @@ TEST(TcpPersistBeforeSend, NoFrameLeavesBeforeTheFlushHook) {
     EXPECT_EQ(got[4], 'r');
     close(fd);
   }
+}
+
+// --- One session per server pair (DESIGN.md §14) ---------------------------
+
+// The smallest protocol message; `round` tags it.
+omni::OmniMessage Probe(uint64_t round) {
+  return omni::OmniMessage{omni::BleMessage{omni::HeartbeatRequest{round}}};
+}
+
+uint64_t RoundOf(const omni::OmniMessage& msg) {
+  return std::get<omni::HeartbeatRequest>(std::get<omni::BleMessage>(msg)).round;
+}
+
+// One transport driven from the test thread, with what it delivered.
+struct LinkNode {
+  LinkNode(NodeId id, std::map<NodeId, Endpoint> peers)
+      : transport(id, 0, std::move(peers)) {
+    transport.WireObs(&metrics);
+    transport.set_message_handler([this](NodeId from, omni::OmniMessage msg) {
+      got.emplace_back(from, RoundOf(msg));
+    });
+    transport.set_reconnect_handler([this](NodeId peer) { cues.push_back(peer); });
+  }
+  uint64_t Count(const std::string& name) const {
+    const obs::Counter* c = metrics.FindCounter(name);
+    return c == nullptr ? 0 : c->value();
+  }
+
+  obs::Metrics metrics;
+  TcpTransport transport;
+  std::vector<std::pair<NodeId, uint64_t>> got;  // (from, round) per probe
+  std::vector<NodeId> cues;                       // reconnect cues, in order
+};
+
+// Runs one pass (Poll, then Flush) of every node until `done` holds; false
+// after 5 s.
+template <typename Done>
+bool PumpUntil(const std::vector<LinkNode*>& nodes, Done done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return false;
+    }
+    for (LinkNode* node : nodes) {
+      node->transport.Poll(1);
+      node->transport.Flush();
+    }
+  }
+  return true;
+}
+
+// A higher id never dials, so its lower-id peers' endpoints are never used.
+const Endpoint kNeverDialled{"127.0.0.1", 1};
+
+// A blocking loopback socket to `port` that has sent a peer hello as `id`,
+// followed by `extra` (already framed) in the same write.
+int DialAsPeer(uint16_t port, NodeId id, const std::vector<uint8_t>& extra = {}) {
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  std::vector<uint8_t> bytes;
+  bytes.reserve(64);
+  bytes.resize(4);  // length header, patched below
+  net::client_wire::EncodeHello(net::kHelloPeer, id, &bytes);
+  net::PatchFrameLength(&bytes, 0);
+  bytes.insert(bytes.end(), extra.begin(), extra.end());
+  if (fd < 0 || connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      write(fd, bytes.data(), bytes.size()) != static_cast<ssize_t>(bytes.size())) {
+    if (fd >= 0) {
+      close(fd);
+    }
+    return -1;
+  }
+  timeval timeout{5, 0};
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  return fd;
+}
+
+// The next protocol frame on blocking socket `fd`; nullopt on EOF or timeout.
+std::optional<omni::OmniMessage> ReadMessage(int fd) {
+  FrameReader reader;
+  std::optional<omni::OmniMessage> msg;
+  while (!msg.has_value()) {
+    uint8_t chunk[256];
+    const ssize_t n = read(fd, chunk, sizeof(chunk));
+    if (n <= 0) {
+      return std::nullopt;
+    }
+    reader.Feed(chunk, static_cast<size_t>(n), [&](const uint8_t* data, size_t len) {
+      omni::OmniMessage decoded;
+      if (omni::DecodeMessage(data, len, &decoded)) {
+        msg = std::move(decoded);
+      }
+      return false;  // one frame is all this reads
+    });
+  }
+  return msg;
+}
+
+size_t OpenFds() {
+  return static_cast<size_t>(std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
+                                           std::filesystem::directory_iterator{}));
+}
+
+// Three transports: node k dials its higher peers and accepts exactly k-1
+// connections, one per lower peer; each pair's frames in both directions ride
+// that one socket, so node 3, which dials nothing, still reaches 1 and 2.
+TEST(TcpLink, EachPairSharesOneConnection) {
+  std::unique_ptr<LinkNode> nodes[4];
+  std::map<NodeId, Endpoint> listening;
+  for (NodeId id = 3; id >= 1; --id) {  // highest first: dials find a listener
+    std::map<NodeId, Endpoint> peers = listening;
+    for (NodeId lower = 1; lower < id; ++lower) {
+      peers[lower] = kNeverDialled;
+    }
+    nodes[id] = std::make_unique<LinkNode>(id, peers);
+    ASSERT_TRUE(nodes[id]->transport.Start());
+    listening[id] = Endpoint{"127.0.0.1", nodes[id]->transport.listen_port()};
+  }
+  const std::vector<LinkNode*> all{nodes[1].get(), nodes[2].get(), nodes[3].get()};
+  ASSERT_TRUE(PumpUntil(all, [&] {
+    return nodes[1]->cues.size() == 2 && nodes[2]->cues.size() == 2 && nodes[3]->cues.size() == 2;
+  }));
+  for (NodeId from = 1; from <= 3; ++from) {
+    for (NodeId to = 1; to <= 3; ++to) {
+      if (to != from) {
+        nodes[from]->transport.Send(to, Probe(static_cast<uint64_t>(10 * from + to)));
+      }
+    }
+  }
+  ASSERT_TRUE(PumpUntil(all, [&] {
+    return nodes[1]->got.size() == 2 && nodes[2]->got.size() == 2 && nodes[3]->got.size() == 2;
+  }));
+  for (NodeId id = 1; id <= 3; ++id) {
+    const LinkNode& node = *nodes[id];
+    for (const auto& [from, round] : node.got) {
+      EXPECT_EQ(round, static_cast<uint64_t>(10 * from + id)) << "node " << id;
+    }
+    EXPECT_EQ(node.Count("net.conns_accepted"), static_cast<uint64_t>(id - 1)) << "node " << id;
+    EXPECT_EQ(node.Count("net.reconnects"), 2u) << "node " << id;
+    EXPECT_EQ(node.Count("net.conns_closed"), 0u) << "node " << id;
+    // Two probes, plus one hello per accepted session.
+    EXPECT_EQ(node.Count("net.frames_in"), static_cast<uint64_t>(2 + id - 1)) << "node " << id;
+  }
+}
+
+// A peer that redials while its old session still looks open to us (a lost
+// FIN, a restart faster than our read) is adopted on the new socket, and the
+// stale one is closed rather than kept as a second session.
+TEST(TcpLink, NewerHelloReplacesTheStaleSession) {
+  LinkNode node(2, {{1, kNeverDialled}});
+  ASSERT_TRUE(node.transport.Start());
+  const int stale = DialAsPeer(node.transport.listen_port(), 1);
+  ASSERT_GE(stale, 0);
+  ASSERT_TRUE(PumpUntil({&node}, [&] { return node.cues.size() == 1; }));
+  const int fresh = DialAsPeer(node.transport.listen_port(), 1);
+  ASSERT_GE(fresh, 0);
+  ASSERT_TRUE(PumpUntil({&node}, [&] { return node.cues.size() == 2; }));
+  EXPECT_EQ(node.cues, (std::vector<NodeId>{1, 1}));
+  EXPECT_EQ(node.Count("net.conns_closed"), 1u);
+
+  node.transport.Send(1, Probe(7));
+  node.transport.Flush();
+  const std::optional<omni::OmniMessage> msg = ReadMessage(fresh);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(RoundOf(*msg), 7u);
+  uint8_t b = 0;
+  EXPECT_EQ(read(stale, &b, 1), 0) << "the stale session must be closed, not fed";
+  close(stale);
+  close(fresh);
+}
+
+// A peer writes its hello and one frame and closes, so all of it, FIN
+// included, is queued before the transport first looks: one edge. The
+// frame's read comes back short of the buffer, but the FIN rode the same
+// edge (EPOLLRDHUP) and no later edge will report it, so the transport must
+// read on to the 0 and close its side.
+TEST(TcpLink, FinInTheSameEdgeAsTheLastFrameClosesTheSession) {
+  LinkNode node(2, {{1, kNeverDialled}});
+  ASSERT_TRUE(node.transport.Start());
+  const size_t fds_before = OpenFds();
+  std::vector<uint8_t> frame;
+  omni::EncodeFrame(Probe(9), &frame);
+  const int fd = DialAsPeer(node.transport.listen_port(), 1, frame);
+  ASSERT_GE(fd, 0);
+  close(fd);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_TRUE(PumpUntil({&node}, [&] { return node.Count("net.conns_closed") == 1; }))
+      << "the FIN was never read";
+  EXPECT_EQ(node.got, (std::vector<std::pair<NodeId, uint64_t>>{{1, 9}}));
+  EXPECT_EQ(node.cues, (std::vector<NodeId>{1}));
+  EXPECT_EQ(OpenFds(), fds_before) << "the transport kept its side of the socket";
 }
 
 // --- 64-connection multiplexing against a real loopback cluster -----------

@@ -23,6 +23,7 @@
 #include "src/net/frame_queue.h"
 #include "src/net/omni_client.h"
 #include "src/net/omni_tcp_server.h"
+#include "src/obs/trace.h"
 #include "tests/loopback_ports.h"
 
 namespace opx {
@@ -36,9 +37,11 @@ using net::ServerOptions;
 // A 3-server localhost cluster. Ports must be known before peers can
 // connect, so each attempt draws a random port block; a bind collision with
 // a test running in parallel stops what started and retries on a fresh block.
+// `observed` gives each server an obs sink that outlives restarts (read it
+// with Counter once the servers are stopped).
 class TcpCluster {
  public:
-  explicit TcpCluster(const std::string& wal_prefix = "") {
+  explicit TcpCluster(const std::string& wal_prefix = "", bool observed = false) {
     for (int attempt = 0; attempt < loopback::kPortAttempts; ++attempt) {
       const uint16_t base = loopback::RandomPortBase();
       endpoints_.clear();
@@ -57,6 +60,10 @@ class TcpCluster {
         }
         options.peers = endpoints_;
         options.peers.erase(id);
+        if (observed) {
+          sinks_[static_cast<size_t>(id)] = std::make_unique<obs::ObsSink>(1u << 10);
+          options.obs = sinks_[static_cast<size_t>(id)].get();
+        }
       }
       bool ok = true;
       for (NodeId id = 1; id <= 3 && ok; ++id) {
@@ -91,7 +98,19 @@ class TcpCluster {
     slot.server = nullptr;
   }
 
+  void StopAll() {
+    for (NodeId id = 1; id <= 3; ++id) {
+      StopServer(id);
+    }
+  }
+
   const std::map<NodeId, Endpoint>& endpoints() const { return endpoints_; }
+
+  // Server `id`'s counter `name` over every run of it; 0 if never bumped.
+  uint64_t Counter(NodeId id, const std::string& name) const {
+    const obs::Counter* c = sinks_[static_cast<size_t>(id)]->metrics().FindCounter(name);
+    return c == nullptr ? 0 : c->value();
+  }
 
  private:
   struct Slot {
@@ -115,12 +134,6 @@ class TcpCluster {
     return true;
   }
 
-  void StopAll() {
-    for (NodeId id = 1; id <= 3; ++id) {
-      StopServer(id);
-    }
-  }
-
   void RemoveWals() {
     for (NodeId id = 1; id <= 3; ++id) {
       const std::string& dir = options_[static_cast<size_t>(id)].wal_dir;
@@ -137,6 +150,7 @@ class TcpCluster {
     }
   }
 
+  std::unique_ptr<obs::ObsSink> sinks_[4];
   ServerOptions options_[4];
   Slot servers_[4];
   std::map<NodeId, Endpoint> endpoints_;
@@ -415,6 +429,44 @@ TEST(TcpRuntime, ClientKeepsDecidingAfterLeaderStops) {
   EXPECT_NE(client.connected_to(), kNoNode);
 }
 
+// During a failover the follower the client rotates to keeps naming the
+// stopped leader for a while, and each append to it comes back as a redirect
+// to the client's suspect. The session answers those redirects on the 1 ms
+// client tick, as ClusterSim does, not once per loopback round trip (~15k
+// append frames in ~380 ms when every frame was answered at once).
+TEST(TcpRuntime, FailoverReproposalsArePacedToTheClientTick) {
+#if !defined(OPX_OBS_ENABLED)
+  GTEST_SKIP() << "counts appends through the srv/client_appends counter (OPX_OBS=ON)";
+#endif
+  TcpCluster cluster("", /*observed=*/true);
+  ASSERT_NE(AwaitLeader(cluster.endpoints()), kNoNode);  // the first appends find it
+  const auto start = std::chrono::steady_clock::now();
+  OmniClient client(cluster.endpoints());
+  for (uint64_t cmd = 1; cmd <= 10; ++cmd) {
+    ASSERT_TRUE(client.AppendAndWait(cmd, 8, Seconds(10))) << "cmd " << cmd;
+  }
+  const NodeId leader = client.connected_to();
+  ASSERT_NE(leader, kNoNode);
+  cluster.StopServer(leader);
+  for (uint64_t cmd = 11; cmd <= 30; ++cmd) {
+    ASSERT_TRUE(client.AppendAndWait(cmd, 8, Seconds(10))) << "cmd " << cmd;
+  }
+  const auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  ASSERT_NE(client.connected_to(), leader);
+  cluster.StopAll();
+  uint64_t appends = 0;
+  for (NodeId id = 1; id <= 3; ++id) {
+    appends += cluster.Counter(id, "srv/client_appends");
+  }
+  // Every command reached a server, with one frame per command, at most one
+  // paced re-send per millisecond, and slack for rotations on top.
+  EXPECT_GE(appends, 30u);
+  EXPECT_LE(appends, 30 + static_cast<uint64_t>(elapsed_ms) + 100)
+      << "append frames in " << elapsed_ms << " ms";
+}
+
 TEST(TcpRuntime, LeaseReadIsServedAtTheLeaderAtItsWatermark) {
   TcpCluster cluster;
   OmniClient client(cluster.endpoints());
@@ -480,6 +532,63 @@ TEST(TcpRuntime, LeaseReadAboveTheDecidedIndexIsBouncedNotServed) {
   EXPECT_FALSE(at_leader.LeaseRead(watermark, nullptr, Millis(300)));
   EXPECT_GT(at_leader.read_bounces(), 0u);
 }
+
+// --- One session per server pair (DESIGN.md §14) ---------------------------
+
+// Restarts `victim` from its WAL while the other two keep deciding. Every
+// link must carry both directions again afterwards: the victim catches up on
+// what was decided while it was down, all three decide what is appended once
+// it is back, and each end of its links raised the reconnect cue again.
+void ExpectRestartResynchronizesBothEnds(NodeId victim) {
+  TcpCluster cluster(::testing::TempDir() + "/tcp_link_" + std::to_string(victim) + "_",
+                     /*observed=*/true);
+  OmniClient client(cluster.endpoints());
+  for (uint64_t cmd = 1; cmd <= 10; ++cmd) {
+    ASSERT_TRUE(client.AppendAndWait(cmd, 8, Seconds(10))) << "cmd " << cmd;
+  }
+  cluster.StopServer(victim);
+  for (uint64_t cmd = 11; cmd <= 20; ++cmd) {
+    ASSERT_TRUE(client.AppendAndWait(cmd, 8, Seconds(10))) << "cmd " << cmd;
+  }
+  cluster.StartServer(victim);
+  for (uint64_t cmd = 21; cmd <= 30; ++cmd) {
+    ASSERT_TRUE(client.AppendAndWait(cmd, 8, Seconds(10))) << "cmd " << cmd;
+  }
+  for (const auto& [id, endpoint] : cluster.endpoints()) {
+    OmniClient direct(std::map<NodeId, Endpoint>{{id, endpoint}});
+    OmniClient::Status status;
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(15);
+    while (!(direct.GetStatus(&status, Seconds(5)) && status.decided >= 30u) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    EXPECT_GE(status.decided, 30u) << "server " << id << " after restarting " << victim;
+  }
+  cluster.StopAll();
+  // Each server started one session per peer; the victim started both again
+  // and each survivor one more.
+  for (NodeId id = 1; id <= 3; ++id) {
+    EXPECT_GE(cluster.Counter(id, "net.reconnects"), id == victim ? 4u : 3u) << "server " << id;
+  }
+}
+
+// Node 1 dials both of its links: after its restart it redials them, and the
+// survivors adopt the new sessions from its hellos.
+TEST(TcpLink, RestartedLowestIdRedialsEveryLink) {
+#if !defined(OPX_OBS_ENABLED)
+  GTEST_SKIP() << "reads the net.reconnects counter (OPX_OBS=ON)";
+#endif
+  ExpectRestartResynchronizesBothEnds(1);
+}
+
+// Node 3 dials no link: after its restart both survivors redial it.
+TEST(TcpLink, RestartedHighestIdIsRedialledByBothPeers) {
+#if !defined(OPX_OBS_ENABLED)
+  GTEST_SKIP() << "reads the net.reconnects counter (OPX_OBS=ON)";
+#endif
+  ExpectRestartResynchronizesBothEnds(3);
+}
+
 
 // --- Endpoint lists (--peers, --servers) -------------------------------------
 
