@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "src/kvstore/kv_store.h"
-#include "src/rsm/local_cluster.h"
+#include "src/rsm/lockstep_cluster.h"
 #include "src/util/rng.h"
 
 namespace {
@@ -33,7 +33,7 @@ int main() {
   kv::CommandLog command_log;               // cmd_id -> command payload
   std::vector<kv::KvStore> replicas(kServers + 1);  // state machine per server
 
-  rsm::LocalCluster cluster(kServers);
+  rsm::LockstepCluster<omni::OmniPaxos> cluster(kServers, {.priority_node = 1});
   cluster.set_apply([&](NodeId server, LogIndex, const omni::Entry& entry) {
     if (entry.cmd_id != 0 && !entry.IsStopSign()) {
       replicas[static_cast<size_t>(server)].Apply(command_log.Lookup(entry.cmd_id));

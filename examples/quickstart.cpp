@@ -2,20 +2,22 @@
 //
 //   $ ./quickstart
 //
-// Walks through the core API: build a LocalCluster, elect a leader through
-// Ballot Leader Election, replicate commands with Sequence Paxos, survive a
-// leader crash, and show that every server decided the same log.
+// Walks through the core API: build an in-process rsm::LockstepCluster of
+// Omni-Paxos servers, elect a leader through Ballot Leader Election, replicate
+// commands with Sequence Paxos, survive a leader crash, restart the crashed
+// server from its storage, and show that every server decided the same log.
 #include <cstdio>
 
-#include "src/rsm/local_cluster.h"
+#include "src/rsm/lockstep_cluster.h"
 
 int main() {
   using namespace opx;
 
   std::printf("== Omni-Paxos quickstart ==\n\n");
 
-  // 1. Three servers, fully connected, in-process.
-  rsm::LocalCluster cluster(3);
+  // 1. Three servers, fully connected, in-process. Server 1 has the BLE
+  //    priority, so it wins the first election.
+  rsm::LockstepCluster<omni::OmniPaxos> cluster(3, {.priority_node = 1});
 
   // 2. BLE exchanges heartbeat rounds until a quorum-connected server is
   //    elected (§5.2). Each Tick() is one election-timeout period.
@@ -53,14 +55,18 @@ int main() {
   cluster.Tick();
 
   std::printf("\nfinal decided logs (SC2: prefixes of one another):\n");
+  bool identical = true;
   for (NodeId id = 1; id <= 3; ++id) {
     std::printf("  s%d:", id);
     const auto& storage = cluster.storage(id);
+    identical = identical && cluster.node(id).decided_idx() == cluster.node(1).decided_idx();
     for (LogIndex i = 0; i < cluster.node(id).decided_idx(); ++i) {
       std::printf(" %lu", storage.At(i).cmd_id);
+      identical = identical && storage.At(i) == cluster.storage(1).At(i);
     }
     std::printf("\n");
   }
-  std::printf("\nall servers decided identical logs — Sequence Consensus holds.\n");
-  return 0;
+  std::printf("\nall servers decided %s logs — Sequence Consensus %s.\n",
+              identical ? "identical" : "DIFFERENT", identical ? "holds" : "VIOLATED");
+  return identical ? 0 : 1;
 }

@@ -14,7 +14,6 @@
 #include "src/omnipaxos/omni_paxos.h"
 #include "src/util/log_index.h"
 #include "src/wal/fault_fs.h"
-#include "tests/omni_test_harness.h"
 
 namespace opx {
 namespace {

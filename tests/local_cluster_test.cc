@@ -1,6 +1,6 @@
-// Tests for LocalCluster, the public in-process entry point used by library
-// consumers and the examples — including the apply callback that drives user
-// state machines, and the half-duplex behaviour discussed in §8.
+// Tests for the lockstep cluster as library users and the examples drive it —
+// including the apply callback that drives user state machines — and for the
+// half-duplex behaviour discussed in §8.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -8,27 +8,27 @@
 #include "src/kvstore/kv_store.h"
 #include "src/rsm/adapters.h"
 #include "src/rsm/cluster_sim.h"
-#include "src/rsm/local_cluster.h"
+#include "src/rsm/lockstep_cluster.h"
 
 namespace opx {
 namespace {
 
-using rsm::LocalCluster;
+using Cluster = rsm::LockstepCluster<omni::OmniPaxos>;
 
 TEST(LocalCluster, ElectLeaderReturnsLeader) {
-  LocalCluster cluster(3);
+  Cluster cluster(3);
   const NodeId leader = cluster.ElectLeader();
   ASSERT_NE(leader, kNoNode);
   EXPECT_TRUE(cluster.node(leader).IsLeader());
 }
 
 TEST(LocalCluster, PriorityNodeWinsFirstElection) {
-  LocalCluster cluster(5, /*leader_priority_node=*/4);
+  Cluster cluster(5, {.priority_node = 4});
   EXPECT_EQ(cluster.ElectLeader(), 4);
 }
 
 TEST(LocalCluster, ApplyCallbackSeesDecidedEntriesInOrder) {
-  LocalCluster cluster(3);
+  Cluster cluster(3, {.priority_node = 1});
   std::vector<std::vector<uint64_t>> applied(4);
   cluster.set_apply([&](NodeId server, LogIndex, const omni::Entry& e) {
     applied[static_cast<size_t>(server)].push_back(e.cmd_id);
@@ -44,16 +44,14 @@ TEST(LocalCluster, ApplyCallbackSeesDecidedEntriesInOrder) {
 }
 
 TEST(LocalCluster, FollowerAppendForwardsToLeader) {
-  LocalCluster cluster(3, 1);
+  Cluster cluster(3, {.priority_node = 1});
   ASSERT_EQ(cluster.ElectLeader(), 1);
   EXPECT_TRUE(cluster.Append(2, 77));
-  cluster.Step();
-  cluster.Step();
   EXPECT_EQ(cluster.node(1).decided_idx(), 1u);
 }
 
 TEST(LocalCluster, RestartReplaysDecidedEntries) {
-  LocalCluster cluster(3, 1);
+  Cluster cluster(3, {.priority_node = 1});
   std::vector<uint64_t> replayed;
   cluster.set_apply([&](NodeId server, LogIndex, const omni::Entry& e) {
     if (server == 3) {
@@ -74,7 +72,7 @@ TEST(LocalCluster, RestartReplaysDecidedEntries) {
 }
 
 TEST(LocalCluster, KvStateMachineConvergesAcrossFaults) {
-  LocalCluster cluster(5, 1);
+  Cluster cluster(5, {.priority_node = 1});
   kv::CommandLog commands;
   std::vector<kv::KvStore> stores(6);
   cluster.set_apply([&](NodeId server, LogIndex, const omni::Entry& e) {

@@ -5,7 +5,7 @@
 
 #include "src/omnipaxos/omni_paxos.h"
 #include "src/rsm/experiments.h"
-#include "tests/omni_test_harness.h"
+#include "src/rsm/lockstep_cluster.h"
 
 namespace opx {
 namespace {
@@ -15,7 +15,7 @@ using omni::Entry;
 using omni::OmniConfig;
 using omni::OmniPaxos;
 using omni::Storage;
-using testing::OmniCluster;
+using Cluster = rsm::LockstepCluster<omni::OmniPaxos>;
 
 OmniConfig Config3(NodeId pid, uint32_t priority = 0) {
   OmniConfig cfg;
@@ -48,8 +48,7 @@ TEST(OmniPaxosUnit, LeaderEventFlowsFromBleToPaxos) {
 }
 
 TEST(OmniPaxosUnit, ReconfigurationRejectedBeforeAndAfterStop) {
-  OmniCluster cluster(3);
-  cluster.SetPriority(1, 10);
+  Cluster cluster(3, {.priority_node = 1});
   cluster.TickRounds(3);
   ASSERT_EQ(cluster.CurrentLeader(), 1);
   omni::StopSign ss;
@@ -58,7 +57,6 @@ TEST(OmniPaxosUnit, ReconfigurationRejectedBeforeAndAfterStop) {
   EXPECT_TRUE(cluster.node(1).ProposeReconfiguration(ss));
   // Second proposal while one is in flight: rejected.
   EXPECT_FALSE(cluster.node(1).ProposeReconfiguration(ss));
-  cluster.Collect();
   cluster.DeliverAll();
   ASSERT_TRUE(cluster.node(1).IsStopped());
   // And after the stop-sign decided: still rejected, also at followers.
@@ -67,8 +65,7 @@ TEST(OmniPaxosUnit, ReconfigurationRejectedBeforeAndAfterStop) {
 }
 
 TEST(OmniPaxosUnit, UnproposedEntriesRecoverableAfterStop) {
-  OmniCluster cluster(3);
-  cluster.SetPriority(1, 10);
+  Cluster cluster(3, {.priority_node = 1});
   cluster.TickRounds(3);
   ASSERT_EQ(cluster.CurrentLeader(), 1);
   // Queue proposals at a follower that cannot flush them (leader unknown to
@@ -78,7 +75,6 @@ TEST(OmniPaxosUnit, UnproposedEntriesRecoverableAfterStop) {
   ss.next_config = 1;
   ss.next_nodes = {1, 2, 3};
   ASSERT_TRUE(cluster.node(1).ProposeReconfiguration(ss));
-  cluster.Collect();
   cluster.DeliverAll();
   ASSERT_TRUE(cluster.node(2).IsStopped());
   // Appends at the stopped configuration are rejected; anything still queued
@@ -89,8 +85,7 @@ TEST(OmniPaxosUnit, UnproposedEntriesRecoverableAfterStop) {
 }
 
 TEST(OmniPaxosUnit, TrimForwardsToStorage) {
-  OmniCluster cluster(3);
-  cluster.SetPriority(1, 10);
+  Cluster cluster(3, {.priority_node = 1});
   cluster.TickRounds(3);
   for (uint64_t cmd = 1; cmd <= 5; ++cmd) {
     cluster.Append(1, cmd);
@@ -101,14 +96,12 @@ TEST(OmniPaxosUnit, TrimForwardsToStorage) {
 }
 
 TEST(OmniPaxosUnit, DecidedStopSignExposesNextConfig) {
-  OmniCluster cluster(3);
-  cluster.SetPriority(1, 10);
+  Cluster cluster(3, {.priority_node = 1});
   cluster.TickRounds(3);
   omni::StopSign ss;
   ss.next_config = 7;
   ss.next_nodes = {2, 3, 9};
   ASSERT_TRUE(cluster.node(1).ProposeReconfiguration(ss));
-  cluster.Collect();
   cluster.DeliverAll();
   for (NodeId id = 1; id <= 3; ++id) {
     const auto decided = cluster.node(id).DecidedStopSign();

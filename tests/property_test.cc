@@ -8,11 +8,9 @@
 
 #include "src/multipaxos/multipaxos.h"
 #include "src/raft/raft.h"
+#include "src/rsm/lockstep_cluster.h"
 #include "src/util/quorum.h"
 #include "src/util/rng.h"
-#include "tests/lockstep_harness.h"
-#include "tests/omni_test_harness.h"
-#include "tests/raft_test_harness.h"
 
 namespace opx {
 namespace {
@@ -28,7 +26,7 @@ class OmniChaosTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(OmniChaosTest, SequenceConsensusHolds) {
   Rng rng(GetParam());
-  testing::OmniCluster cluster(kServers);
+  rsm::LockstepCluster<omni::OmniPaxos> cluster(kServers);
   cluster.TickRounds(3);
 
   std::set<uint64_t> proposed;
@@ -155,7 +153,7 @@ class OmniDurabilityTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(OmniDurabilityTest, DecidedEntriesSurviveLeaderChurn) {
   Rng rng(GetParam());
-  testing::OmniCluster cluster(kServers);
+  rsm::LockstepCluster<omni::OmniPaxos> cluster(kServers);
   cluster.TickRounds(3);
 
   std::vector<uint64_t> decided_snapshot;
@@ -205,7 +203,7 @@ TEST_P(RaftChaosTest, CommittedLogsAgree) {
   Rng rng(GetParam());
   raft::RaftConfig base;
   base.seed = GetParam();
-  testing::RaftCluster cluster(kServers, base);
+  rsm::LockstepCluster<raft::Raft> cluster(kServers, base);
   cluster.TickRounds(30);
 
   uint64_t next_cmd = 1;
@@ -263,14 +261,9 @@ class MpxChaosTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(MpxChaosTest, ChosenSlotsAgree) {
   Rng rng(GetParam());
-  using Cluster = testing::LockstepCluster<mpx::MultiPaxos>;
-  Cluster cluster(kServers, [&](NodeId id, std::vector<NodeId> peers) {
-    mpx::MpxConfig cfg;
-    cfg.pid = id;
-    cfg.peers = std::move(peers);
-    cfg.seed = GetParam() * 100 + static_cast<uint64_t>(id);
-    return std::make_unique<mpx::MultiPaxos>(cfg);
-  });
+  mpx::MpxConfig base;
+  base.seed = GetParam() * 100;
+  rsm::LockstepCluster<mpx::MultiPaxos> cluster(kServers, base);
   cluster.TickRounds(30);
 
   uint64_t next_cmd = 1;
@@ -290,11 +283,9 @@ TEST_P(MpxChaosTest, ChosenSlotsAgree) {
       default:
         break;
     }
-    for (NodeId id = 1; id <= kServers; ++id) {
-      if (cluster.node(id).IsLeader()) {
-        cluster.node(id).Append(mpx::Entry::Command(next_cmd++, 8));
-        break;
-      }
+    const NodeId leader = cluster.CurrentLeader();
+    if (leader != kNoNode) {
+      cluster.node(leader).Append(mpx::Entry::Command(next_cmd++, 8));
     }
     cluster.Tick();
 

@@ -3,12 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "src/raft/raft.h"
-#include "tests/raft_test_harness.h"
+#include "src/rsm/lockstep_cluster.h"
 
 namespace opx {
 namespace {
 
-using testing::RaftCluster;
+using Cluster = rsm::LockstepCluster<raft::Raft>;
 
 raft::RaftConfig WithOptions(bool pre_vote, bool check_quorum) {
   raft::RaftConfig cfg;
@@ -17,20 +17,32 @@ raft::RaftConfig WithOptions(bool pre_vote, bool check_quorum) {
   return cfg;
 }
 
+// Adds a fresh, empty-log server, e.g. the target of a membership change. It
+// knows no voter but itself and must not start elections before it joins, so
+// its election timeout is huge.
+NodeId AddFreshServer(Cluster& cluster) {
+  raft::RaftConfig cfg;
+  cfg.pid = cluster.size() + 1;
+  cfg.voters = {cfg.pid};
+  cfg.seed = 1 + static_cast<uint64_t>(cfg.pid) * 7919;
+  cfg.election_ticks = 1 << 20;
+  return cluster.AddServer(std::make_unique<raft::Raft>(cfg));
+}
+
 TEST(RaftElection, ThreeServersElectOneLeader) {
-  RaftCluster cluster(3);
+  Cluster cluster(3);
   cluster.TickRounds(30);
   EXPECT_NE(cluster.CurrentLeader(), kNoNode);
 }
 
 TEST(RaftElection, FiveServersElectOneLeader) {
-  RaftCluster cluster(5);
+  Cluster cluster(5);
   cluster.TickRounds(30);
   EXPECT_NE(cluster.CurrentLeader(), kNoNode);
 }
 
 TEST(RaftElection, LeaderCrashTriggersReelection) {
-  RaftCluster cluster(3);
+  Cluster cluster(3);
   cluster.TickRounds(30);
   const NodeId old_leader = cluster.CurrentLeader();
   ASSERT_NE(old_leader, kNoNode);
@@ -42,7 +54,7 @@ TEST(RaftElection, LeaderCrashTriggersReelection) {
 }
 
 TEST(RaftElection, PreVoteDoesNotDisturbTermsWhenPartitioned) {
-  RaftCluster cluster(3, WithOptions(/*pre_vote=*/true, /*check_quorum=*/false));
+  Cluster cluster(3, WithOptions(/*pre_vote=*/true, /*check_quorum=*/false));
   cluster.TickRounds(30);
   const NodeId leader = cluster.CurrentLeader();
   ASSERT_NE(leader, kNoNode);
@@ -60,7 +72,7 @@ TEST(RaftElection, PreVoteDoesNotDisturbTermsWhenPartitioned) {
 }
 
 TEST(RaftElection, WithoutPreVoteRejoiningServerDisruptsLeader) {
-  RaftCluster cluster(3, WithOptions(/*pre_vote=*/false, /*check_quorum=*/false));
+  Cluster cluster(3, WithOptions(/*pre_vote=*/false, /*check_quorum=*/false));
   cluster.TickRounds(30);
   const NodeId leader = cluster.CurrentLeader();
   ASSERT_NE(leader, kNoNode);
@@ -79,7 +91,7 @@ TEST(RaftElection, WithoutPreVoteRejoiningServerDisruptsLeader) {
 }
 
 TEST(RaftElection, CheckQuorumLeaderStepsDownWhenIsolated) {
-  RaftCluster cluster(3, WithOptions(/*pre_vote=*/false, /*check_quorum=*/true));
+  Cluster cluster(3, WithOptions(/*pre_vote=*/false, /*check_quorum=*/true));
   cluster.TickRounds(30);
   const NodeId leader = cluster.CurrentLeader();
   ASSERT_NE(leader, kNoNode);
@@ -89,7 +101,7 @@ TEST(RaftElection, CheckQuorumLeaderStepsDownWhenIsolated) {
 }
 
 TEST(RaftElection, WithoutCheckQuorumIsolatedLeaderKeepsRole) {
-  RaftCluster cluster(3, WithOptions(/*pre_vote=*/false, /*check_quorum=*/false));
+  Cluster cluster(3, WithOptions(/*pre_vote=*/false, /*check_quorum=*/false));
   cluster.TickRounds(30);
   const NodeId leader = cluster.CurrentLeader();
   ASSERT_NE(leader, kNoNode);
@@ -99,7 +111,7 @@ TEST(RaftElection, WithoutCheckQuorumIsolatedLeaderKeepsRole) {
 }
 
 TEST(RaftReplication, AppendCommitsOnAllServers) {
-  RaftCluster cluster(3);
+  Cluster cluster(3);
   cluster.TickRounds(30);
   const NodeId leader = cluster.CurrentLeader();
   ASSERT_NE(leader, kNoNode);
@@ -114,7 +126,7 @@ TEST(RaftReplication, AppendCommitsOnAllServers) {
 }
 
 TEST(RaftReplication, FollowerRejectsAppend) {
-  RaftCluster cluster(3);
+  Cluster cluster(3);
   cluster.TickRounds(30);
   const NodeId leader = cluster.CurrentLeader();
   NodeId follower = leader == 1 ? 2 : 1;
@@ -122,7 +134,7 @@ TEST(RaftReplication, FollowerRejectsAppend) {
 }
 
 TEST(RaftReplication, DivergentFollowerLogIsRepaired) {
-  RaftCluster cluster(3);
+  Cluster cluster(3);
   cluster.TickRounds(30);
   const NodeId leader = cluster.CurrentLeader();
   ASSERT_NE(leader, kNoNode);
@@ -131,7 +143,6 @@ TEST(RaftReplication, DivergentFollowerLogIsRepaired) {
   cluster.Isolate(leader);
   cluster.node(leader).Append(raft::Entry::Command(100, 8));
   cluster.node(leader).Append(raft::Entry::Command(101, 8));
-  cluster.Collect();
   cluster.DeliverAll();
   // Other two elect a fresh leader and commit different entries.
   cluster.TickRounds(40);
@@ -151,7 +162,7 @@ TEST(RaftReplication, DivergentFollowerLogIsRepaired) {
 }
 
 TEST(RaftReplication, CommitRequiresMajority) {
-  RaftCluster cluster(5);
+  Cluster cluster(5);
   cluster.TickRounds(30);
   const NodeId leader = cluster.CurrentLeader();
   ASSERT_NE(leader, kNoNode);
@@ -173,14 +184,14 @@ TEST(RaftReplication, CommitRequiresMajority) {
 }
 
 TEST(RaftMembership, ReplaceOneServer) {
-  RaftCluster cluster(3);
+  Cluster cluster(3);
   cluster.TickRounds(30);
   const NodeId leader = cluster.CurrentLeader();
   ASSERT_NE(leader, kNoNode);
   for (uint64_t cmd = 1; cmd <= 20; ++cmd) {
     cluster.Append(leader, cmd);
   }
-  const NodeId fresh = cluster.AddFreshServer();
+  const NodeId fresh = AddFreshServer(cluster);
   // Replace a follower (not the leader) with the fresh server.
   NodeId removed = kNoNode;
   for (NodeId id = 1; id <= 3; ++id) {
@@ -197,7 +208,6 @@ TEST(RaftMembership, ReplaceOneServer) {
   }
   next.push_back(fresh);
   ASSERT_TRUE(cluster.node(leader).ProposeMembership(next));
-  cluster.Collect();
   cluster.DeliverAll();
   cluster.TickRounds(3);
   // Change committed at the leader; the removed server is retired by the
@@ -219,11 +229,11 @@ TEST(RaftMembership, ReplaceOneServer) {
 }
 
 TEST(RaftMembership, LeaderStepsDownWhenReplaced) {
-  RaftCluster cluster(3);
+  Cluster cluster(3);
   cluster.TickRounds(30);
   const NodeId leader = cluster.CurrentLeader();
   ASSERT_NE(leader, kNoNode);
-  const NodeId fresh = cluster.AddFreshServer();
+  const NodeId fresh = AddFreshServer(cluster);
   std::vector<NodeId> next;
   for (NodeId id = 1; id <= 3; ++id) {
     if (id != leader) {
@@ -232,7 +242,6 @@ TEST(RaftMembership, LeaderStepsDownWhenReplaced) {
   }
   next.push_back(fresh);
   ASSERT_TRUE(cluster.node(leader).ProposeMembership(next));
-  cluster.Collect();
   cluster.DeliverAll();
   cluster.TickRounds(5);
   EXPECT_FALSE(cluster.node(leader).IsLeader());
@@ -244,7 +253,7 @@ TEST(RaftMembership, LeaderStepsDownWhenReplaced) {
 }
 
 TEST(RaftMembership, OnlyOneChangeInFlight) {
-  RaftCluster cluster(3);
+  Cluster cluster(3);
   cluster.TickRounds(30);
   const NodeId leader = cluster.CurrentLeader();
   ASSERT_NE(leader, kNoNode);

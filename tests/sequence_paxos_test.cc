@@ -3,18 +3,18 @@
 #include <gtest/gtest.h>
 
 #include "src/omnipaxos/omni_paxos.h"
-#include "tests/omni_test_harness.h"
+#include "src/rsm/lockstep_cluster.h"
 
 namespace opx {
 namespace {
 
 using omni::Entry;
 using omni::kNullBallot;
-using testing::OmniCluster;
+using Cluster = rsm::LockstepCluster<omni::OmniPaxos>;
 
 // Checks SC2 pairwise for all live servers: one decided log must be a prefix
 // of the other.
-void ExpectDecidedPrefixConsistency(OmniCluster& cluster) {
+void ExpectDecidedPrefixConsistency(Cluster& cluster) {
   for (NodeId a = 1; a <= cluster.size(); ++a) {
     for (NodeId b = a + 1; b <= cluster.size(); ++b) {
       if (cluster.IsCrashed(a) || cluster.IsCrashed(b)) {
@@ -32,7 +32,7 @@ void ExpectDecidedPrefixConsistency(OmniCluster& cluster) {
 }
 
 TEST(Election, ThreeServersElectOneLeader) {
-  OmniCluster cluster(3);
+  Cluster cluster(3);
   cluster.TickRounds(3);
   EXPECT_NE(cluster.CurrentLeader(), kNoNode);
   int leaders = 0;
@@ -43,20 +43,19 @@ TEST(Election, ThreeServersElectOneLeader) {
 }
 
 TEST(Election, HighestPriorityWinsFirstElection) {
-  OmniCluster cluster(3);
-  cluster.SetPriority(2, 10);
+  Cluster cluster(3, {.priority_node = 2});
   cluster.TickRounds(3);
   EXPECT_EQ(cluster.CurrentLeader(), 2);
 }
 
 TEST(Election, FiveServersElectOneLeader) {
-  OmniCluster cluster(5);
+  Cluster cluster(5);
   cluster.TickRounds(3);
   EXPECT_NE(cluster.CurrentLeader(), kNoNode);
 }
 
 TEST(Election, SingleServerElectsItself) {
-  OmniCluster cluster(1);
+  Cluster cluster(1);
   cluster.TickRounds(2);
   EXPECT_EQ(cluster.CurrentLeader(), 1);
   EXPECT_TRUE(cluster.Append(1, 1));
@@ -64,7 +63,7 @@ TEST(Election, SingleServerElectsItself) {
 }
 
 TEST(Election, LeaderCrashTriggersReelection) {
-  OmniCluster cluster(3);
+  Cluster cluster(3);
   cluster.TickRounds(3);
   const NodeId old_leader = cluster.CurrentLeader();
   ASSERT_NE(old_leader, kNoNode);
@@ -76,7 +75,7 @@ TEST(Election, LeaderCrashTriggersReelection) {
 }
 
 TEST(Election, BallotsMonotonicallyIncrease) {
-  OmniCluster cluster(3);
+  Cluster cluster(3);
   cluster.TickRounds(3);
   const NodeId first = cluster.CurrentLeader();
   const auto b1 = cluster.node(1).ble().leader();
@@ -89,7 +88,7 @@ TEST(Election, BallotsMonotonicallyIncrease) {
 }
 
 TEST(Replication, AppendDecidesOnAllServers) {
-  OmniCluster cluster(3);
+  Cluster cluster(3);
   cluster.TickRounds(3);
   const NodeId leader = cluster.CurrentLeader();
   ASSERT_NE(leader, kNoNode);
@@ -103,7 +102,7 @@ TEST(Replication, AppendDecidesOnAllServers) {
 }
 
 TEST(Replication, FollowerForwardsProposalsToLeader) {
-  OmniCluster cluster(3);
+  Cluster cluster(3);
   cluster.TickRounds(3);
   const NodeId leader = cluster.CurrentLeader();
   NodeId follower = kNoNode;
@@ -116,15 +115,13 @@ TEST(Replication, FollowerForwardsProposalsToLeader) {
   EXPECT_TRUE(cluster.Append(follower, 42));
   // The forwarded proposal needs an extra settle round after the leader
   // appends it.
-  cluster.Collect();
   cluster.DeliverAll();
   EXPECT_EQ(cluster.node(leader).decided_idx(), 1u);
   EXPECT_EQ(cluster.storage(leader).At(0).cmd_id, 42u);
 }
 
 TEST(Replication, MinorityPartitionDoesNotDecide) {
-  OmniCluster cluster(3);
-  cluster.SetPriority(1, 10);
+  Cluster cluster(3, {.priority_node = 1});
   cluster.TickRounds(3);
   ASSERT_EQ(cluster.CurrentLeader(), 1);
   // Cut the leader off from both followers: it keeps its role until BLE
@@ -135,8 +132,7 @@ TEST(Replication, MinorityPartitionDoesNotDecide) {
 }
 
 TEST(Replication, MajorityDecidesDespiteOneDisconnectedFollower) {
-  OmniCluster cluster(3);
-  cluster.SetPriority(1, 10);
+  Cluster cluster(3, {.priority_node = 1});
   cluster.TickRounds(3);
   ASSERT_EQ(cluster.CurrentLeader(), 1);
   cluster.SetLink(1, 3, false);
@@ -154,8 +150,7 @@ TEST(Replication, MajorityDecidesDespiteOneDisconnectedFollower) {
 }
 
 TEST(Replication, NewLeaderAdoptsDecidedEntries) {
-  OmniCluster cluster(3);
-  cluster.SetPriority(1, 10);
+  Cluster cluster(3, {.priority_node = 1});
   cluster.TickRounds(3);
   ASSERT_EQ(cluster.CurrentLeader(), 1);
   for (uint64_t cmd = 1; cmd <= 3; ++cmd) {
@@ -174,8 +169,7 @@ TEST(Replication, NewLeaderAdoptsDecidedEntries) {
 TEST(Replication, UnchosenEntriesAreOverwritten) {
   // Fig. 3a: entries accepted only by a minority in an old round are
   // overwritten by the new leader's log.
-  OmniCluster cluster(3);
-  cluster.SetPriority(1, 10);
+  Cluster cluster(3, {.priority_node = 1});
   cluster.TickRounds(3);
   ASSERT_EQ(cluster.CurrentLeader(), 1);
   cluster.Append(1, 1);
@@ -201,8 +195,7 @@ TEST(Replication, UnchosenEntriesAreOverwritten) {
 }
 
 TEST(Recovery, RestartedServerCatchesUp) {
-  OmniCluster cluster(3);
-  cluster.SetPriority(1, 10);
+  Cluster cluster(3, {.priority_node = 1});
   cluster.TickRounds(3);
   ASSERT_EQ(cluster.CurrentLeader(), 1);
   cluster.Append(1, 1);
@@ -213,6 +206,19 @@ TEST(Recovery, RestartedServerCatchesUp) {
   cluster.DeliverAll();
   EXPECT_EQ(cluster.node(3).decided_idx(), 3u);
   ExpectDecidedPrefixConsistency(cluster);
+}
+
+// A restarted server is rebuilt from the config it was first built from, so
+// the priority server keeps its BLE priority across a crash.
+TEST(Recovery, RestartKeepsBlePriority) {
+  Cluster cluster(3, {.priority_node = 1});
+  cluster.TickRounds(3);
+  ASSERT_EQ(cluster.CurrentLeader(), 1);
+  cluster.Crash(1);
+  cluster.TickRounds(4);
+  cluster.Restart(1);
+  EXPECT_EQ(cluster.node(1).ble().current_ballot().priority, 10u);
+  EXPECT_EQ(cluster.node(2).ble().current_ballot().priority, 0u);
 }
 
 TEST(Recovery, RecoveringServerIgnoresNonPrepareMessages) {
@@ -232,8 +238,7 @@ TEST(Recovery, RecoveringServerIgnoresNonPrepareMessages) {
 }
 
 TEST(StopSign, DecidedStopSignStopsConfiguration) {
-  OmniCluster cluster(3);
-  cluster.SetPriority(1, 10);
+  Cluster cluster(3, {.priority_node = 1});
   cluster.TickRounds(3);
   ASSERT_EQ(cluster.CurrentLeader(), 1);
   cluster.Append(1, 1);
@@ -241,7 +246,6 @@ TEST(StopSign, DecidedStopSignStopsConfiguration) {
   ss.next_config = 1;
   ss.next_nodes = {3, 4, 5};
   EXPECT_TRUE(cluster.node(1).ProposeReconfiguration(ss));
-  cluster.Collect();
   cluster.DeliverAll();
   for (NodeId id = 1; id <= 3; ++id) {
     EXPECT_TRUE(cluster.node(id).IsStopped()) << "server " << id;
@@ -254,8 +258,7 @@ TEST(StopSign, DecidedStopSignStopsConfiguration) {
 }
 
 TEST(StopSign, SecondReconfigurationProposalRejected) {
-  OmniCluster cluster(3);
-  cluster.SetPriority(1, 10);
+  Cluster cluster(3, {.priority_node = 1});
   cluster.TickRounds(3);
   omni::StopSign ss;
   ss.next_config = 1;

@@ -274,19 +274,22 @@ TEST(TcpRuntime, FollowerRedirectsToLeader) {
     ASSERT_TRUE(probe.GetStatus(&status, Seconds(5)));
   }
   ASSERT_NE(status.leader, kNoNode);
-  // Connect specifically to a follower and append: the redirect + retry path
-  // must still decide the command.
+  std::map<NodeId, Endpoint> all = cluster.endpoints();
+  OmniClient client(all);
+  ASSERT_TRUE(client.Connect(Seconds(5)));
+  EXPECT_TRUE(client.AppendAndWait(777, 8, Seconds(10)));
+  // A leader elected before node 1 (BLE priority) joined can hand over to
+  // it, so pick the follower from the leader named after a decide, and check
+  // the session against the leader named once it is done.
+  ASSERT_TRUE(probe.GetStatus(&status, Seconds(5)));
+  ASSERT_NE(status.leader, kNoNode);
   NodeId follower = kNoNode;
-  for (const auto& [id, endpoint] : cluster.endpoints()) {
+  for (const auto& [id, endpoint] : all) {
     if (id != status.leader) {
       follower = id;
       break;
     }
   }
-  std::map<NodeId, Endpoint> all = cluster.endpoints();
-  OmniClient client(all);
-  ASSERT_TRUE(client.Connect(Seconds(5)));
-  EXPECT_TRUE(client.AppendAndWait(777, 8, Seconds(10)));
 
   // OmniClient starts at the lowest id, usually the leader (node 1 has BLE
   // priority), so drive a session whose rotation starts at the follower.
@@ -302,6 +305,7 @@ TEST(TcpRuntime, FollowerRedirectsToLeader) {
     loop.Wait(10);
   }
   EXPECT_FALSE(session.client().IsPending(778));
+  ASSERT_TRUE(probe.GetStatus(&status, Seconds(5)));
   EXPECT_EQ(session.server(), status.leader);
 }
 

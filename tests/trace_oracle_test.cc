@@ -1,5 +1,5 @@
 // Trace-oracle conformance tests (DESIGN.md §12): temporal properties checked
-// against obs traces for all four protocols, under the lockstep harnesses,
+// against obs traces for all four protocols, under the lockstep cluster,
 // the discrete-event ClusterSim, and replayed chaos-corpus artifacts.
 //
 // The oracles live in tests/trace_oracle_harness.h; this file drives them:
@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -27,11 +26,9 @@
 #include "src/obs/trace_view.h"
 #include "src/rsm/chaos.h"
 #include "src/rsm/cluster_sim.h"
+#include "src/rsm/lockstep_cluster.h"
 #include "src/rsm/omni_reconfig_sim.h"
 #include "src/vr/vr_replica.h"
-#include "tests/lockstep_harness.h"
-#include "tests/omni_test_harness.h"
-#include "tests/raft_test_harness.h"
 #include "tests/trace_oracle_harness.h"
 
 namespace opx {
@@ -43,10 +40,10 @@ using obs::TraceView;
 using testing::ElectionWithin;
 using testing::LeaderUndisturbedAfter;
 using testing::NoAcceptBeforePromiseQuorum;
-using testing::OmniCluster;
 using testing::PropertyResult;
-using testing::RaftCluster;
 using testing::SingleLeaderPerEpoch;
+using OmniCluster = rsm::LockstepCluster<omni::OmniPaxos>;
+using RaftCluster = rsm::LockstepCluster<raft::Raft>;
 
 #if defined(OPX_OBS_ENABLED)
 #define OPX_REQUIRE_OBS() \
@@ -61,8 +58,7 @@ using testing::SingleLeaderPerEpoch;
 TEST(TraceOracleOmni, AcceptDecideRequiresPromiseQuorum) {
   OPX_REQUIRE_OBS();
   ObsSink sink;
-  OmniCluster cluster(3, /*batch_limit=*/0, &sink);
-  cluster.SetPriority(1, 10);
+  OmniCluster cluster(3, {.obs = &sink, .priority_node = 1});
   cluster.TickRounds(10);
   const NodeId leader = cluster.CurrentLeader();
   ASSERT_NE(leader, kNoNode);
@@ -83,8 +79,7 @@ TEST(TraceOracleOmni, AcceptDecideRequiresPromiseQuorum) {
 TEST(TraceOracleOmni, ReElectionAfterLeaderIsolationWithinBound) {
   OPX_REQUIRE_OBS();
   ObsSink sink;
-  OmniCluster cluster(5, /*batch_limit=*/0, &sink);
-  cluster.SetPriority(1, 10);
+  OmniCluster cluster(5, {.obs = &sink, .priority_node = 1});
   cluster.TickRounds(10);
   ASSERT_EQ(cluster.CurrentLeader(), 1);
 
@@ -203,24 +198,13 @@ TEST(TraceOracleRaftPlain, PartialPartitionDisturbsLeaderWithoutPvCq) {
 TEST(TraceOracleMpx, BallotHasAtMostOneLeaderAcrossTakeover) {
   OPX_REQUIRE_OBS();
   ObsSink sink;
-  using Cluster = testing::LockstepCluster<mpx::MultiPaxos>;
-  Cluster cluster(3, [&sink](NodeId id, std::vector<NodeId> peers) {
-    mpx::MpxConfig cfg;
-    cfg.pid = id;
-    cfg.peers = std::move(peers);
-    cfg.seed = 100 + static_cast<uint64_t>(id);
-    cfg.obs = &sink;
-    return std::make_unique<mpx::MultiPaxos>(cfg);
-  });
-  cluster.AttachObs(&sink);
+  mpx::MpxConfig base;
+  base.seed = 100;
+  base.obs = &sink;
+  rsm::LockstepCluster<mpx::MultiPaxos> cluster(3, base);
   cluster.TickRounds(30);
 
-  NodeId leader = kNoNode;
-  for (NodeId id = 1; id <= 3; ++id) {
-    if (cluster.node(id).IsLeader()) {
-      leader = id;
-    }
-  }
+  const NodeId leader = cluster.CurrentLeader();
   ASSERT_NE(leader, kNoNode);
   const Time crash = 30;
   cluster.Crash(leader);
@@ -240,21 +224,10 @@ TEST(TraceOracleMpx, BallotHasAtMostOneLeaderAcrossTakeover) {
 TEST(TraceOracleVr, ViewHasAtMostOneLeaderAcrossViewChange) {
   OPX_REQUIRE_OBS();
   ObsSink sink;
-  using Cluster = testing::LockstepCluster<vr::VrReplica>;
-  std::vector<std::unique_ptr<omni::Storage>> storages;
-  storages.resize(4);
-  for (int i = 1; i <= 3; ++i) {
-    storages[static_cast<size_t>(i)] = std::make_unique<omni::Storage>();
-  }
-  Cluster cluster(3, [&sink, &storages](NodeId id, std::vector<NodeId> peers) {
-    vr::VrReplicaConfig cfg;
-    cfg.pid = id;
-    cfg.peers = std::move(peers);
-    cfg.seed = 300 + static_cast<uint64_t>(id);
-    cfg.obs = &sink;
-    return std::make_unique<vr::VrReplica>(cfg, storages[static_cast<size_t>(id)].get());
-  });
-  cluster.AttachObs(&sink);
+  vr::VrReplicaConfig base;
+  base.seed = 300;
+  base.obs = &sink;
+  rsm::LockstepCluster<vr::VrReplica> cluster(3, base);
   cluster.TickRounds(3);
   ASSERT_TRUE(cluster.node(1).IsLeader());
 
@@ -307,8 +280,7 @@ TEST(TraceOracleCluster, OmniElectsWithinFourTimeoutsOfLeaderIsolation) {
 TEST(TraceOracleOmni, AutoTrimAndSnapshotResyncUpholdSnapshotSafety) {
   OPX_REQUIRE_OBS();
   ObsSink sink;
-  OmniCluster cluster(3, /*batch_limit=*/0, &sink, /*trim_watermark=*/4);
-  cluster.SetPriority(1, 10);
+  OmniCluster cluster(3, {.trim_watermark = 4, .obs = &sink, .priority_node = 1});
   cluster.TickRounds(3);
   ASSERT_EQ(cluster.CurrentLeader(), 1);
   // A straggler that reconnects below the leader's compaction boundary

@@ -3,11 +3,9 @@
 // cluster must recover once fully healed.
 #include <gtest/gtest.h>
 
-#include <memory>
-
+#include "src/rsm/lockstep_cluster.h"
 #include "src/util/rng.h"
 #include "src/vr/vr_replica.h"
-#include "tests/lockstep_harness.h"
 
 namespace opx {
 namespace {
@@ -18,18 +16,9 @@ class VrChaosTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(VrChaosTest, DecidedPrefixesAgree) {
   Rng rng(GetParam());
-  std::vector<std::unique_ptr<omni::Storage>> storages(kServers + 1);
-  for (int i = 1; i <= kServers; ++i) {
-    storages[static_cast<size_t>(i)] = std::make_unique<omni::Storage>();
-  }
-  using Cluster = testing::LockstepCluster<vr::VrReplica>;
-  Cluster cluster(kServers, [&](NodeId id, std::vector<NodeId> peers) {
-    vr::VrReplicaConfig cfg;
-    cfg.pid = id;
-    cfg.peers = std::move(peers);
-    cfg.seed = GetParam() * 10 + static_cast<uint64_t>(id);
-    return std::make_unique<vr::VrReplica>(cfg, storages[static_cast<size_t>(id)].get());
-  });
+  vr::VrReplicaConfig base;
+  base.seed = GetParam() * 10;
+  rsm::LockstepCluster<vr::VrReplica> cluster(kServers, base);
   cluster.TickRounds(5);
 
   uint64_t next_cmd = 1;
@@ -49,11 +38,8 @@ TEST_P(VrChaosTest, DecidedPrefixesAgree) {
       default:
         break;
     }
-    for (NodeId id = 1; id <= kServers; ++id) {
-      if (cluster.node(id).IsLeader()) {
-        cluster.node(id).Append(omni::Entry::Command(next_cmd++, 8));
-        break;
-      }
+    if (const NodeId leader = cluster.CurrentLeader(); leader != kNoNode) {
+      cluster.node(leader).Append(omni::Entry::Command(next_cmd++, 8));
     }
     cluster.Tick();
     for (NodeId a = 1; a <= kServers; ++a) {
@@ -61,8 +47,7 @@ TEST_P(VrChaosTest, DecidedPrefixesAgree) {
         const LogIndex common = std::min(cluster.node(a).decided_idx(),
                                          cluster.node(b).decided_idx());
         for (LogIndex i = 0; i < common; ++i) {
-          ASSERT_EQ(storages[static_cast<size_t>(a)]->At(i),
-                    storages[static_cast<size_t>(b)]->At(i))
+          ASSERT_EQ(cluster.storage(a).At(i), cluster.storage(b).At(i))
               << "divergence at " << i << " (seed " << GetParam() << ", round "
               << round << ")";
         }
@@ -71,17 +56,10 @@ TEST_P(VrChaosTest, DecidedPrefixesAgree) {
   }
   cluster.HealAll();
   cluster.TickRounds(30);
-  NodeId leader = kNoNode;
-  for (NodeId id = 1; id <= kServers; ++id) {
-    if (cluster.node(id).IsLeader()) {
-      leader = id;
-    }
-  }
+  const NodeId leader = cluster.CurrentLeader();
   ASSERT_NE(leader, kNoNode) << "seed " << GetParam();
   const LogIndex before = cluster.node(leader).decided_idx();
-  cluster.node(leader).Append(omni::Entry::Command(next_cmd++, 8));
-  cluster.Collect();
-  cluster.DeliverAll();
+  cluster.Append(leader, next_cmd++);
   EXPECT_GT(cluster.node(leader).decided_idx(), before);
 }
 
